@@ -1,57 +1,18 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation section (DESIGN.md experiment index), plus the
-   optimization ablation and bechamel microbenchmarks of the core
+   optimization ablation, the fuzz/serve/verify/perf grids that write
+   the BENCH_*.json artifacts, and bechamel microbenchmarks of the core
    runtime data structures.
 
      dune exec bench/main.exe                 -- everything
      dune exec bench/main.exe -- --table N    -- one table (1-5)
-     dune exec bench/main.exe -- --fig N      -- figure 3 or 4
-     dune exec bench/main.exe -- --ablation   -- optimization ablation
-     dune exec bench/main.exe -- --faults     -- fault-injection table
-     dune exec bench/main.exe -- --resilience -- supervised-campaign
-                                                degradation table (writes
-                                                BENCH_resilience.json)
-     dune exec bench/main.exe -- --micro      -- bechamel microbenches
-     dune exec bench/main.exe -- --fuzz N     -- N-program differential
-                                                fuzz campaign
-     dune exec bench/main.exe -- --fuzz-guided N
-                                              -- coverage-guided campaign vs
-                                                the blind baseline at the
-                                                same budget (writes
-                                                BENCH_fuzzcov.json)
-     dune exec bench/main.exe -- --verify     -- Tir.Verify wall time and
-                                                coverage per SPEC kernel
-     dune exec bench/main.exe -- --perf       -- interp-vs-jit wall-clock
-                                                grid (writes BENCH_perf.json)
-     dune exec bench/main.exe -- --serve-sim N
-                                              -- N synthetic requests through
-                                                the serve engine under the
-                                                deterministic simulated clock
-                                                (writes BENCH_serve.json);
-                                                --sim-workers C (default 4)
-                                                and --serve-batch B (default
-                                                16) shape the queue model
      dune exec bench/main.exe -- --smoke      -- <30 s validation subset
+     dune exec bench/main.exe -- --help       -- every experiment and modifier
 
-   Modifiers:
-     -j N        run the grid on N domains (N=0: one per core); also
-                 settable via CECSAN_JOBS.  Default 1 (sequential).
-                 Results are bit-for-bit identical at any -j.
-     --seed S    run seed (default 0x5EED), echoed in every section
-                 header so any report is reproducible from its log
-     --backend B execute every run on backend B (interp | jit); results
-                 are bit-for-bit identical on either, only wall clock
-                 moves
-     --timings   print wall-clock per experiment phase at the end, and
-                 emit the BENCH_perf.json perf-trajectory artifact
-     --profile   print each kernel's top-10 hottest check sites (CECSan,
-                 with IR origins) next to the overhead tables; on its
-                 own, runs the overhead tables with profiles
-     --telemetry-json FILE
-                 write the merged telemetry snapshot of every run in the
-                 session as deterministic JSON (byte-identical across
-                 reruns and across -j)
-*)
+   One experiment runs per invocation (the first selected, in the order
+   [main] tests them); -j, --seed and --backend modify it, and results
+   are bit-for-bit identical at any -j and on either backend.  An
+   unknown flag or an out-of-range value exits 2. *)
 
 let fmt = Format.std_formatter
 
@@ -191,7 +152,7 @@ let run_resilience ?pool ?backend () =
   in
   Fuzz.Campaign.render_resilience fmt rows;
   let file = "BENCH_resilience.json" in
-  Harness.Jsonio.write ~path:file (Fuzz.Campaign.resilience_json rows ^ "\n");
+  Harness.Jsonio.write_json ~path:file (Fuzz.Campaign.resilience_json rows);
   Format.printf "@.Resilience table written to %s@." file;
   if not (List.for_all (fun r -> r.Fuzz.Campaign.rs_pass) rows) then exit 1
 
@@ -226,8 +187,7 @@ let run_fuzz_guided ?pool ?backend ~jobs n =
   Format.printf "  blind baseline    : %d bits over %d sites@."
     (Fuzz.Coverage.cardinal blind) (Fuzz.Coverage.sites blind);
   let file = "BENCH_fuzzcov.json" in
-  Harness.Jsonio.write ~path:file
-    (Fuzz.Campaign.fuzzcov_json ~blind s ^ "\n");
+  Harness.Jsonio.write_json ~path:file (Fuzz.Campaign.fuzzcov_json ~blind s);
   Format.printf "@.Coverage artifact written to %s@." file;
   if not (Fuzz.Campaign.passed s) then exit 1
 
@@ -324,21 +284,20 @@ let run_verify () =
         (Workloads.Spec2006.all @ Workloads.Spec2017.all));
   let rows = List.rev !rows in
   let file = "BENCH_verify.json" in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"cecsan-bench-verify/1\",\n";
-  Buffer.add_string buf "  \"rows\": [\n";
-  List.iteri
-    (fun i (k, s, acc, cov, wit, facts, issues) ->
-       Buffer.add_string buf
-         (Printf.sprintf
-            "    {\"kernel\": %S, \"sanitizer\": %S, \"accesses\": %d, \
-             \"covered\": %d, \"witnesses\": %d, \"absint_facts\": %d, \
-             \"issues\": %d}%s\n"
-            k s acc cov wit facts issues
-            (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  Harness.Jsonio.write ~path:file (Buffer.contents buf);
+  Harness.Jsonio.write_json ~path:file
+    (Json.Obj
+       [ ("schema", Json.Str "cecsan-bench-verify/1");
+         ("rows",
+          Json.List
+            (List.map
+               (fun (k, s, acc, cov, wit, facts, issues) ->
+                  Json.Obj
+                    [ ("kernel", Json.Str k); ("sanitizer", Json.Str s);
+                      ("accesses", Json.Int acc); ("covered", Json.Int cov);
+                      ("witnesses", Json.Int wit);
+                      ("absint_facts", Json.Int facts);
+                      ("issues", Json.Int issues) ])
+               rows)) ]);
   Format.printf "@.Verification grid written to %s@." file
 
 (* --perf: the backend perf trajectory.  Each SPEC2006 kernel runs on
@@ -404,26 +363,25 @@ let run_perf () =
                  CECSan@."
     g_none g_cecsan;
   let file = "BENCH_perf.json" in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"schema\": \"cecsan-bench-perf/1\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"reps\": %d,\n" reps);
-  Buffer.add_string buf "  \"kernels\": [\n";
-  List.iteri
-    (fun i (s, k, ti, tj, r) ->
-       Buffer.add_string buf
-         (Printf.sprintf
-            "    {\"kernel\": %S, \"sanitizer\": %S, \"interp_ms\": %.3f, \
-             \"jit_ms\": %.3f, \"speedup\": %.3f}%s\n"
-            k s (ti *. 1000.) (tj *. 1000.) r
-            (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"geomean_speedup\": %.3f,\n  \"geomean_speedup_by_sanitizer\": \
-        {\"none\": %.3f, \"cecsan\": %.3f}\n}\n"
-       g_none g_none g_cecsan);
-  Harness.Jsonio.write ~path:file (Buffer.contents buf);
+  Harness.Jsonio.write_json ~path:file
+    (Json.Obj
+       [ ("schema", Json.Str "cecsan-bench-perf/1");
+         ("reps", Json.Int reps);
+         ("kernels",
+          Json.List
+            (List.map
+               (fun (s, k, ti, tj, r) ->
+                  Json.Obj
+                    [ ("kernel", Json.Str k); ("sanitizer", Json.Str s);
+                      ("interp_ms", Json.Float (ti *. 1000.));
+                      ("jit_ms", Json.Float (tj *. 1000.));
+                      ("speedup", Json.Float r) ])
+               rows));
+         ("geomean_speedup", Json.Float g_none);
+         ("geomean_speedup_by_sanitizer",
+          Json.Obj
+            [ ("none", Json.Float g_none); ("cecsan", Json.Float g_cecsan) ])
+       ]);
   Format.printf "  Perf grid written to %s@." file
 
 (* --serve-sim N: replay N synthetic queued requests through the
@@ -540,139 +498,159 @@ let microbenches () =
          results)
     tests
 
-let () =
+(* --- command line ---------------------------------------------------------- *)
+
+open Cmdliner
+
+(* Integer options parse with [int_of_string_opt], so [--seed 0x5EED]
+   works as before. *)
+let int_where what ok =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some v when ok v -> Ok v
+        | _ -> Error (`Msg (Printf.sprintf "%S: expected %s" s what))),
+      Format.pp_print_int )
+
+let positive = int_where "a positive integer" (fun v -> v > 0)
+let non_negative = int_where "a non-negative integer" (fun v -> v >= 0)
+let numbered ns = Arg.enum (List.map (fun n -> (string_of_int n, n)) ns)
+
+let flag name doc = Arg.(value & flag & info [ name ] ~doc)
+
+let opt ?docv kind name doc =
+  Arg.(value & opt (some kind) None & info [ name ] ?docv ~doc)
+
+let main jobs seed backend table fig ablation faults resilience micro fuzz
+    fuzz_guided serve_sim sim_workers serve_batch verify perf smoke profile
+    telemetry_json timings =
   (* Measurement runs report verifier findings instead of failing on
      them (the tests keep the Strict default). *)
   Sanitizer.Driver.verify_mode := Sanitizer.Driver.Warn;
-  let args = Array.to_list Sys.argv in
-  let has flag = List.mem flag args in
-  let arg_after flag =
-    let rec go = function
-      | a :: b :: _ when String.equal a flag -> Some b
-      | _ :: rest -> go rest
-      | [] -> None
-    in
-    go args
-  in
   let jobs =
-    match arg_after "-j" with
-    | Some s ->
-      (match int_of_string_opt s with
-       | Some 0 -> Domain.recommended_domain_count ()
-       | Some n when n > 0 -> n
-       | Some _ | None ->
-         Format.eprintf "-j %s: expected a non-negative integer@." s;
-         exit 2)
+    match jobs with
+    | Some 0 -> Domain.recommended_domain_count ()
+    | Some n -> n
     | None -> Harness.Pool.default_jobs ()
   in
-  (match arg_after "--seed" with
-   | Some s ->
-     (match int_of_string_opt s with
-      | Some v when v >= 0 -> run_seed := v
-      | Some _ | None ->
-        Format.eprintf "--seed %s: expected a non-negative integer@." s;
-        exit 2)
-   | None -> ());
-  (* --backend is parsed into a VALUE threaded explicitly through every
-     experiment entry point; nothing here (or anywhere in-tree) mutates
-     [Sanitizer.Driver.default_backend]. *)
-  let backend =
-    match arg_after "--backend" with
-    | Some "interp" -> Some Vm.Machine.Interp
-    | Some "jit" -> Some Vm.Machine.Jit
-    | Some s ->
-      Format.eprintf "--backend %s: expected interp or jit@." s;
-      exit 2
-    | None -> None
-  in
-  profile_on := has "--profile";
+  Option.iter (fun s -> run_seed := s) seed;
+  profile_on := profile;
   Harness.Pool.with_pool ~jobs (fun p ->
       let pool = if jobs > 1 then Some p else None in
-      (match (arg_after "--table", arg_after "--fig") with
-       | Some "1", _ -> run_table1 ()
-       | Some "2", _ -> run_table2 ?pool ?backend ()
-       | Some "3", _ -> run_table3 ?backend ()
-       | Some "4", _ -> run_table4 ?pool ?backend ()
-       | Some "5", _ -> run_table5 ?pool ?backend ()
-       | _, Some "3" -> run_fig3 ?backend ()
-       | _, Some "4" -> run_fig4 ?backend ()
-       | _ ->
-         if has "--ablation" then run_ablation ?pool ?backend ()
-         else if has "--faults" then run_faults ?pool ?backend ()
-         else if has "--resilience" then run_resilience ?pool ?backend ()
-         else if has "--micro" then microbenches ()
-         else if has "--fuzz" then begin
-           match Option.bind (arg_after "--fuzz") int_of_string_opt with
-           | Some n when n > 0 -> run_fuzz ?pool ?backend ~jobs n
-           | _ ->
-             Format.eprintf "--fuzz: expected a positive program count@.";
-             exit 2
-         end
-         else if has "--fuzz-guided" then begin
-           match
-             Option.bind (arg_after "--fuzz-guided") int_of_string_opt
-           with
-           | Some n when n > 0 -> run_fuzz_guided ?pool ?backend ~jobs n
-           | _ ->
-             Format.eprintf
-               "--fuzz-guided: expected a positive program count@.";
-             exit 2
-         end
-         else if has "--serve-sim" then begin
-           let int_opt ~default flag =
-             match arg_after flag with
-             | None -> default
-             | Some s ->
-               (match int_of_string_opt s with
-                | Some v when v > 0 -> v
-                | _ ->
-                  Format.eprintf "%s %s: expected a positive integer@."
-                    flag s;
-                  exit 2)
-           in
-           match
-             Option.bind (arg_after "--serve-sim") int_of_string_opt
-           with
-           | Some n when n > 0 ->
-             run_serve_sim ?pool ?backend
-               ~sim_workers:(int_opt ~default:4 "--sim-workers")
-               ~serve_batch:(int_opt ~default:16 "--serve-batch") n
-           | _ ->
-             Format.eprintf "--serve-sim: expected a positive request \
-                             count@.";
-             exit 2
-         end
-         else if has "--verify" then run_verify ()
-         else if has "--perf" then run_perf ()
-         else if has "--smoke" then run_smoke ?pool ?backend ()
-         else if has "--profile" then begin
-           (* bare --profile: the overhead tables, with hot-site tables *)
-           run_table4 ?pool ?backend ();
-           run_table5 ?pool ?backend ()
-         end
-         else begin
-           run_table1 ();
-           run_table2 ?pool ?backend ();
-           run_table3 ?backend ();
-           run_table4 ?pool ?backend ();
-           run_table5 ?pool ?backend ();
-           run_fig3 ?backend ();
-           run_fig4 ?backend ();
-           run_ablation ?pool ?backend ();
-           run_faults ?pool ?backend ();
-           microbenches ();
-           Format.printf "@.All experiments completed.@."
-         end);
-      (match arg_after "--telemetry-json" with
-       | Some file ->
-         Harness.Jsonio.write ~path:file
-           (Telemetry.Snapshot.to_json !merged_telemetry ^ "\n");
-         Format.printf "@.Telemetry snapshot written to %s@." file
-       | None -> ());
-      if has "--timings" then begin
+      (* one experiment per invocation, picked in this order *)
+      (match (table, fig) with
+       | Some 1, _ -> run_table1 ()
+       | Some 2, _ -> run_table2 ?pool ?backend ()
+       | Some 3, _ -> run_table3 ?backend ()
+       | Some 4, _ -> run_table4 ?pool ?backend ()
+       | Some _, _ -> run_table5 ?pool ?backend ()
+       | None, Some 3 -> run_fig3 ?backend ()
+       | None, Some _ -> run_fig4 ?backend ()
+       | None, None ->
+         if ablation then run_ablation ?pool ?backend ()
+         else if faults then run_faults ?pool ?backend ()
+         else if resilience then run_resilience ?pool ?backend ()
+         else if micro then microbenches ()
+         else
+           match (fuzz, fuzz_guided, serve_sim) with
+           | Some n, _, _ -> run_fuzz ?pool ?backend ~jobs n
+           | None, Some n, _ -> run_fuzz_guided ?pool ?backend ~jobs n
+           | None, None, Some n ->
+             run_serve_sim ?pool ?backend ~sim_workers ~serve_batch n
+           | None, None, None ->
+             if verify then run_verify ()
+             else if perf then run_perf ()
+             else if smoke then run_smoke ?pool ?backend ()
+             else if profile then begin
+               (* bare --profile: the overhead tables, with hot-site
+                  tables *)
+               run_table4 ?pool ?backend ();
+               run_table5 ?pool ?backend ()
+             end
+             else begin
+               run_table1 ();
+               run_table2 ?pool ?backend ();
+               run_table3 ?backend ();
+               run_table4 ?pool ?backend ();
+               run_table5 ?pool ?backend ();
+               run_fig3 ?backend ();
+               run_fig4 ?backend ();
+               run_ablation ?pool ?backend ();
+               run_faults ?pool ?backend ();
+               microbenches ();
+               Format.printf "@.All experiments completed.@."
+             end);
+      Option.iter
+        (fun file ->
+           Harness.Jsonio.write_json ~path:file
+             (Telemetry.Snapshot.to_value !merged_telemetry);
+           Format.printf "@.Telemetry snapshot written to %s@." file)
+        telemetry_json;
+      if timings then begin
         (* --timings owns the perf-trajectory artifact: every timed
            bench run also re-measures the interp-vs-jit grid so the
            speedup is tracked PR-over-PR. *)
         if not !perf_done then run_perf ();
         report_timings ~jobs
       end)
+
+let cmd =
+  let run_count = opt ~docv:"N" positive in
+  let term =
+    Term.(
+      const main
+      $ opt ~docv:"N" non_negative "j"
+          "Run the grid on N domains (0: one per core).  Default \
+           $(b,CECSAN_JOBS), else 1.  Results are identical at any -j."
+      $ opt ~docv:"S" non_negative "seed"
+          "Run seed (default 0x5EED), echoed in every section header."
+      $ opt ~docv:"B"
+          (Arg.enum
+             [ ("interp", Vm.Machine.Interp); ("jit", Vm.Machine.Jit) ])
+          "backend"
+          "Execute every run on $(b,interp) or $(b,jit); results are \
+           identical, only wall clock moves."
+      $ opt ~docv:"N" (numbered [ 1; 2; 3; 4; 5 ]) "table" "Table N (1-5)."
+      $ opt ~docv:"N" (numbered [ 3; 4 ]) "fig" "Figure 3 or 4."
+      $ flag "ablation" "Optimization ablation."
+      $ flag "faults" "Fault-injection degradation table."
+      $ flag "resilience"
+          "Supervised-campaign degradation table (BENCH_resilience.json)."
+      $ flag "micro" "Bechamel microbenchmarks."
+      $ run_count "fuzz" "N-program differential fuzz campaign."
+      $ run_count "fuzz-guided"
+          "Coverage-guided campaign vs the blind baseline at the same \
+           budget (BENCH_fuzzcov.json)."
+      $ run_count "serve-sim"
+          "N synthetic requests through the serve engine under the \
+           simulated clock (BENCH_serve.json)."
+      $ Arg.(value & opt positive 4
+             & info [ "sim-workers" ] ~docv:"C"
+                 ~doc:"Simulated servers for $(b,--serve-sim).")
+      $ Arg.(value & opt positive 16
+             & info [ "serve-batch" ] ~docv:"B"
+                 ~doc:"Batch size for $(b,--serve-sim).")
+      $ flag "verify"
+          "Tir.Verify coverage per SPEC kernel (BENCH_verify.json)."
+      $ flag "perf" "Interp-vs-jit wall-clock grid (BENCH_perf.json)."
+      $ flag "smoke" "Quick validation subset."
+      $ flag "profile"
+          "Print each kernel's hottest CECSan check sites; on its own, \
+           runs the overhead tables."
+      $ opt ~docv:"FILE" Arg.string "telemetry-json"
+          "Write the session's merged telemetry snapshot as JSON \
+           (identical across reruns and -j)."
+      $ flag "timings"
+          "Print wall clock per phase and write BENCH_perf.json.")
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:"regenerate the paper's tables and figures (default: all)")
+    term
+
+(* Cmdliner reports a bad command line with its own code (124); this
+   harness keeps the conventional 2. *)
+let () =
+  match Cmd.eval_value ~catch:false cmd with
+  | Ok _ -> exit 0
+  | Error _ -> exit 2

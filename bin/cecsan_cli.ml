@@ -343,8 +343,8 @@ let run_cmd (san : Sanitizer.Spec.t) src_file lines packets dump_ir dump_tir
     if not (String.equal r.Sanitizer.Driver.output "") then print_newline ();
     (match telemetry_json with
      | Some f ->
-       Harness.Jsonio.write ~path:f
-         (Telemetry.Snapshot.to_json r.Sanitizer.Driver.snapshot ^ "\n")
+       Harness.Jsonio.write_json ~path:f
+         (Telemetry.Snapshot.to_value r.Sanitizer.Driver.snapshot)
      | None -> ());
     let print_stats c =
       if stats then begin

@@ -237,8 +237,8 @@ let run_cmd n seed jobs smoke tools max_shrink repro_dir write_corpus
    | None -> ());
   (match telemetry_json with
    | Some f ->
-     Harness.Jsonio.write ~path:f
-       (Telemetry.Snapshot.to_json summary.Fuzz.Campaign.snapshot ^ "\n");
+     Harness.Jsonio.write_json ~path:f
+       (Telemetry.Snapshot.to_value summary.Fuzz.Campaign.snapshot);
      Fmt.pr "telemetry snapshot written: %s@." f
    | None -> ());
   (match repro_dir with

@@ -96,9 +96,7 @@ let serve jobs batch backend snapshot_json =
         flush ();
         (match snapshot_json with
          | Some path ->
-           Harness.Jsonio.write ~path
-             (Serve.Protocol.to_string (Serve.Engine.aggregate_json !agg)
-              ^ "\n")
+           Harness.Jsonio.write_json ~path (Serve.Engine.aggregate_json !agg)
          | None -> ());
         exit 0
       in

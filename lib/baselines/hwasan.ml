@@ -48,6 +48,13 @@ let random_tag rt st =
   rt.last_tag <- t;
   t
 
+(* Like LLVM's HwasanDeallocate, free never redraws the block's current
+   tag, so a stale pointer always mismatches until reuse.  Only a
+   collision costs an extra draw: other runs keep the same PRNG stream. *)
+let rec random_tag_except rt st old =
+  let t = random_tag rt st in
+  if t = old then random_tag_except rt st old else t
+
 (* --- allocator wrapper ------------------------------------------------------ *)
 
 let hw_malloc rt (st : Vm.State.t) size =
@@ -76,7 +83,8 @@ let hw_free rt (st : Vm.State.t) ptr =
     else (match Hashtbl.find_opt rt.blocks raw with
      | Some rounded ->
        (* retag freed memory so stale pointers mismatch (until reuse) *)
-       set_granules st raw rounded (random_tag rt st);
+       set_granules st raw rounded
+         (random_tag_except rt st (get_tag st raw));
        Hashtbl.remove rt.blocks raw;
        Vm.State.tick st (5 + (rounded / granule));
        Vm.Heap.free st raw

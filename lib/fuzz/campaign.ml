@@ -823,40 +823,44 @@ let blind_coverage ?pool ?(tool_names = []) ?backend ~seed ~n ()
    every field derives from submission-order state -- no wall clock,
    no job count -- so the artifact is byte-identical at any -j and
    across kill-and-resume. *)
-let fuzzcov_json ~blind (s : summary) : string =
+let fuzzcov_json ~blind (s : summary) : Json.t =
   let mismatches =
     List.length (List.filter (fun r -> r.failures <> []) s.rows)
   in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (sp "{\"schema\":\"cecsan-bench-fuzzcov/1\",\"seed\":\"0x%x\",\
-         \"n\":%d,\"mutate_only\":%b,"
-       s.campaign_seed s.n s.mutate_only);
-  Buffer.add_string b
-    (sp "\"guided\":{\"bits\":%d,\"sites\":%d,\"corpus\":%d,\
-         \"mismatches\":%d,"
-       (Coverage.cardinal s.coverage)
-       (Coverage.sites s.coverage)
-       (Corpus.size s.corpus) mismatches);
-  Buffer.add_string b
-    (sp "\"phases\":{\"gen\":{\"programs\":%d,\"admitted\":%d},\
-         \"mutate\":{\"programs\":%d,\"admitted\":%d}}},"
-       s.gen_programs s.gen_admitted s.mut_programs s.mut_admitted);
-  Buffer.add_string b
-    (sp "\"blind\":{\"bits\":%d,\"sites\":%d},"
-       (Coverage.cardinal blind)
-       (Coverage.sites blind));
-  Buffer.add_string b "\"rows\":[";
-  List.iteri
-    (fun i c ->
-       if i > 0 then Buffer.add_char b ',';
-       Buffer.add_string b
-         (sp "{\"shard\":%d,\"phase\":\"%s\",\"bits\":%d,\"sites\":%d,\
-              \"corpus\":%d}"
-            c.cr_shard c.cr_phase c.cr_bits c.cr_sites c.cr_corpus))
-    s.cov_rows;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let counts programs admitted =
+    Json.Obj
+      [ ("programs", Json.Int programs); ("admitted", Json.Int admitted) ]
+  in
+  let cov c =
+    [ ("bits", Json.Int (Coverage.cardinal c));
+      ("sites", Json.Int (Coverage.sites c)) ]
+  in
+  Json.Obj
+    [ ("schema", Json.Str "cecsan-bench-fuzzcov/1");
+      ("seed", Json.Str (sp "0x%x" s.campaign_seed));
+      ("n", Json.Int s.n);
+      ("mutate_only", Json.Bool s.mutate_only);
+      ("guided",
+       Json.Obj
+         (cov s.coverage
+          @ [ ("corpus", Json.Int (Corpus.size s.corpus));
+              ("mismatches", Json.Int mismatches);
+              ("phases",
+               Json.Obj
+                 [ ("gen", counts s.gen_programs s.gen_admitted);
+                   ("mutate", counts s.mut_programs s.mut_admitted) ]) ]));
+      ("blind", Json.Obj (cov blind));
+      ("rows",
+       Json.List
+         (List.map
+            (fun c ->
+               Json.Obj
+                 [ ("shard", Json.Int c.cr_shard);
+                   ("phase", Json.Str c.cr_phase);
+                   ("bits", Json.Int c.cr_bits);
+                   ("sites", Json.Int c.cr_sites);
+                   ("corpus", Json.Int c.cr_corpus) ])
+            s.cov_rows)) ]
 
 (* --- final ledgers -------------------------------------------------------- *)
 
@@ -1016,22 +1020,21 @@ let render_resilience fmt (rows : resilience_row list) =
          (if r.rs_pass then "PASS" else "FAIL"))
     rows
 
-let resilience_json (rows : resilience_row list) : string =
-  let b = Buffer.create 512 in
-  Buffer.add_string b "{\"rows\":[";
-  List.iteri
-    (fun i r ->
-       if i > 0 then Buffer.add_char b ',';
-       Buffer.add_string b
-         (sp
-            "{\"scenario\":\"%s\",\"n\":%d,\"completed\":%d,\
-             \"quarantined\":%d,\"retries\":%d,\"fuel_exhausted\":%d,\
-             \"pass\":%b}"
-            r.rs_scenario r.rs_n r.rs_completed r.rs_quarantined
-            r.rs_retries r.rs_fuel r.rs_pass))
-    rows;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+let resilience_json (rows : resilience_row list) : Json.t =
+  Json.Obj
+    [ ("rows",
+       Json.List
+         (List.map
+            (fun r ->
+               Json.Obj
+                 [ ("scenario", Json.Str r.rs_scenario);
+                   ("n", Json.Int r.rs_n);
+                   ("completed", Json.Int r.rs_completed);
+                   ("quarantined", Json.Int r.rs_quarantined);
+                   ("retries", Json.Int r.rs_retries);
+                   ("fuel_exhausted", Json.Int r.rs_fuel);
+                   ("pass", Json.Bool r.rs_pass) ])
+            rows)) ]
 
 (* --- repro / corpus files ------------------------------------------------ *)
 

@@ -134,7 +134,7 @@ val blind_coverage :
     plain generation-only grid of [n] programs reaches (program [i] is
     exactly the blind campaign's program [i]). *)
 
-val fuzzcov_json : blind:Coverage.t -> summary -> string
+val fuzzcov_json : blind:Coverage.t -> summary -> Json.t
 (** The BENCH_fuzzcov.json artifact (schema [cecsan-bench-fuzzcov/1]):
     guided bits/sites/corpus/mismatches, per-phase counts,
     coverage-over-time rows, and the blind baseline -- no wall clock,
@@ -171,9 +171,8 @@ val resilience : ?pool:Harness.Pool.t -> ?n:int ->
 
 val render_resilience : Format.formatter -> resilience_row list -> unit
 
-val resilience_json : resilience_row list -> string
-(** Deterministic single-line JSON for the BENCH_resilience.json
-    artifact. *)
+val resilience_json : resilience_row list -> Json.t
+(** The BENCH_resilience.json artifact: one row per scenario. *)
 
 val shrink_failure :
   tool_names:string list -> ?fault:Vm.Fault.t -> ?fuel:Tir.Fuel.t ->

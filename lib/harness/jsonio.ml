@@ -19,6 +19,8 @@ let with_file ~path emit =
 
 let write ~path contents = with_file ~path (fun oc -> output_string oc contents)
 
+let write_json ~path v = write ~path (Json.to_string v ^ "\n")
+
 let write_lines ~path lines =
   with_file ~path (fun oc ->
       List.iter (fun l -> output_string oc (l ^ "\n")) lines)

@@ -9,5 +9,8 @@ val with_file : path:string -> (out_channel -> unit) -> unit
 val write : path:string -> string -> unit
 (** [write ~path contents] atomically replaces [path] with [contents]. *)
 
+val write_json : path:string -> Json.t -> unit
+(** [write_json ~path v] writes [Json.to_string v] plus a newline. *)
+
 val write_lines : path:string -> string list -> unit
 (** Each line is written with a trailing newline. *)

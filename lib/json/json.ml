@@ -1,0 +1,218 @@
+(* The one JSON layer of the stack: a value type, its canonical printer
+   and a strict parser.  Every machine-readable artifact (the serve wire
+   protocol, telemetry snapshots, the BENCH_*.json files, the snapshot
+   line of a campaign checkpoint) is built as a [t] and printed here.
+
+   Hand-rolled on purpose: the container has no JSON package, and a
+   strict ~150-line parser is easier to keep deterministic than a
+   dependency.  The printer emits object keys in the order stored and
+   escapes only what it must, so equal values are byte-identical -- the
+   property every -j1-vs-j4 determinism check pins. *)
+
+type t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | Str of string
+  | List of t list
+  | Obj of (string * t) list
+
+(* --- printer --------------------------------------------------------------- *)
+
+let escape_string buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+       match c with
+       | '"' -> Buffer.add_string buf "\\\""
+       | '\\' -> Buffer.add_string buf "\\\\"
+       | '\n' -> Buffer.add_string buf "\\n"
+       | '\t' -> Buffer.add_string buf "\\t"
+       | '\r' -> Buffer.add_string buf "\\r"
+       | c when Char.code c < 0x20 ->
+         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+       | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+let rec emit buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Float f -> Buffer.add_string buf (Printf.sprintf "%.3f" f)
+  | Str s -> escape_string buf s
+  | List vs ->
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i v ->
+         if i > 0 then Buffer.add_string buf ", ";
+         emit buf v)
+      vs;
+    Buffer.add_char buf ']'
+  | Obj fields ->
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i (k, v) ->
+         if i > 0 then Buffer.add_string buf ", ";
+         escape_string buf k;
+         Buffer.add_string buf ": ";
+         emit buf v)
+      fields;
+    Buffer.add_char buf '}'
+
+let to_string v =
+  let buf = Buffer.create 128 in
+  emit buf v;
+  Buffer.contents buf
+
+(* --- parser ---------------------------------------------------------------- *)
+
+exception Bad of string
+
+let parse (s : string) : (t, string) result =
+  let n = String.length s in
+  let pos = ref 0 in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let advance () = incr pos in
+  let fail m = raise (Bad (Printf.sprintf "%s at offset %d" m !pos)) in
+  let skip_ws () =
+    while
+      !pos < n
+      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+    do
+      advance ()
+    done
+  in
+  let expect c =
+    if peek () = Some c then advance ()
+    else fail (Printf.sprintf "expected '%c'" c)
+  in
+  let literal word v =
+    let l = String.length word in
+    if !pos + l <= n && String.equal (String.sub s !pos l) word then begin
+      pos := !pos + l;
+      v
+    end
+    else fail ("expected " ^ word)
+  in
+  let parse_string () =
+    expect '"';
+    let buf = Buffer.create 16 in
+    let rec go () =
+      match peek () with
+      | None -> fail "unterminated string"
+      | Some '"' -> advance ()
+      | Some '\\' ->
+        advance ();
+        (match peek () with
+         | Some '"' -> Buffer.add_char buf '"'; advance ()
+         | Some '\\' -> Buffer.add_char buf '\\'; advance ()
+         | Some '/' -> Buffer.add_char buf '/'; advance ()
+         | Some 'n' -> Buffer.add_char buf '\n'; advance ()
+         | Some 't' -> Buffer.add_char buf '\t'; advance ()
+         | Some 'r' -> Buffer.add_char buf '\r'; advance ()
+         | Some 'b' -> Buffer.add_char buf '\b'; advance ()
+         | Some 'f' -> Buffer.add_char buf '\012'; advance ()
+         | Some 'u' ->
+           advance ();
+           if !pos + 4 > n then fail "truncated \\u escape";
+           let hex = String.sub s !pos 4 in
+           (match int_of_string_opt ("0x" ^ hex) with
+            | Some code when code < 0x100 ->
+              Buffer.add_char buf (Char.chr code);
+              pos := !pos + 4
+            | Some _ -> fail "\\u escape beyond latin-1"
+            | None -> fail "bad \\u escape")
+         | _ -> fail "bad escape");
+        go ()
+      | Some c ->
+        Buffer.add_char buf c;
+        advance ();
+        go ()
+    in
+    go ();
+    Buffer.contents buf
+  in
+  let parse_int () =
+    let start = !pos in
+    if peek () = Some '-' then advance ();
+    while
+      !pos < n && (match s.[!pos] with '0' .. '9' -> true | _ -> false)
+    do
+      advance ()
+    done;
+    (match peek () with
+     | Some ('.' | 'e' | 'E') -> fail "floats are not accepted"
+     | _ -> ());
+    match int_of_string_opt (String.sub s start (!pos - start)) with
+    | Some v -> v
+    | None -> fail "bad number"
+  in
+  let rec parse_value () =
+    skip_ws ();
+    match peek () with
+    | None -> fail "unexpected end of input"
+    | Some 'n' -> literal "null" Null
+    | Some 't' -> literal "true" (Bool true)
+    | Some 'f' -> literal "false" (Bool false)
+    | Some '"' -> Str (parse_string ())
+    | Some ('-' | '0' .. '9') -> Int (parse_int ())
+    | Some '[' ->
+      advance ();
+      skip_ws ();
+      if peek () = Some ']' then begin
+        advance ();
+        List []
+      end
+      else begin
+        let items = ref [ parse_value () ] in
+        skip_ws ();
+        while peek () = Some ',' do
+          advance ();
+          items := parse_value () :: !items;
+          skip_ws ()
+        done;
+        expect ']';
+        List (List.rev !items)
+      end
+    | Some '{' ->
+      advance ();
+      skip_ws ();
+      if peek () = Some '}' then begin
+        advance ();
+        Obj []
+      end
+      else begin
+        let field () =
+          skip_ws ();
+          let k = parse_string () in
+          skip_ws ();
+          expect ':';
+          let v = parse_value () in
+          (k, v)
+        in
+        let fields = ref [ field () ] in
+        skip_ws ();
+        while peek () = Some ',' do
+          advance ();
+          fields := field () :: !fields;
+          skip_ws ()
+        done;
+        expect '}';
+        Obj (List.rev !fields)
+      end
+    | Some c -> fail (Printf.sprintf "unexpected '%c'" c)
+  in
+  match
+    let v = parse_value () in
+    skip_ws ();
+    if !pos <> n then fail "trailing garbage";
+    v
+  with
+  | v -> Ok v
+  | exception Bad m -> Error m
+
+let member key = function
+  | Obj fields -> List.assoc_opt key fields
+  | _ -> None

@@ -207,14 +207,6 @@ let aggregate_rows (a : aggregate) (rows : row list) : aggregate =
   List.fold_left absorb a rows
 
 let aggregate_json (a : aggregate) : Protocol.value =
-  let snapshot_value =
-    (* Snapshot.to_json emits the integer JSON subset Protocol parses;
-       embedding the parsed value keeps the aggregate one well-formed
-       object instead of a string-encoded blob. *)
-    match Protocol.parse (Telemetry.Snapshot.to_json a.agg_snapshot) with
-    | Ok v -> v
-    | Error _ -> Protocol.Str (Telemetry.Snapshot.to_json a.agg_snapshot)
-  in
   Protocol.Obj
     [ ("requests", Protocol.Int a.agg_requests);
       ("ok", Protocol.Int a.agg_ok);
@@ -224,4 +216,4 @@ let aggregate_json (a : aggregate) : Protocol.value =
        Protocol.Obj
          (List.map (fun (k, v) -> (k, Protocol.Int v)) a.agg_by_op));
       ("service_cycles", Protocol.Int a.agg_cycles);
-      ("snapshot", snapshot_value) ]
+      ("snapshot", Telemetry.Snapshot.to_value a.agg_snapshot) ]

@@ -1,32 +1,24 @@
 (** Wire protocol of the analysis service: line-delimited JSON, one
-    value per line, with a deterministic printer (fixed key order,
-    integers only) so equal messages are byte-identical.
+    value per line, printed by {!Json.to_string} (fixed key order,
+    integers only on the wire) so equal messages are byte-identical. *)
 
-    The JSON model is the integer subset the stack already emits
-    everywhere else (telemetry snapshots, bench artifacts): no floats,
-    no unicode escapes beyond the ASCII control range. *)
-
-type value =
+type value = Json.t =
   | Null
   | Bool of bool
   | Int of int
+  | Float of float
   | Str of string
   | List of value list
-  | Obj of (string * value) list  (** printed in the order given *)
+  | Obj of (string * value) list
 
 val to_string : value -> string
-(** Single-line rendering; strings escape quotes, backslashes and
-    control characters.
-    Object keys print in the order stored, so codecs keep a fixed field
-    order and equal messages render byte-identically. *)
+(** {!Json.to_string}. *)
 
 val parse : string -> (value, string) result
-(** Strict parser for the subset {!to_string} emits (plus surrounding
-    whitespace); rejects floats, trailing garbage and duplicate-free
-    constraints are NOT enforced (last key wins on lookup). *)
+(** {!Json.parse}: rejects floats and trailing garbage. *)
 
 val member : string -> value -> value option
-(** First binding of the key in an [Obj]. *)
+(** {!Json.member}. *)
 
 (** {1 Requests} *)
 

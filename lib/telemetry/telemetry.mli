@@ -92,14 +92,22 @@ module Snapshot : sig
       keeps "instrumented but unreached" distinguishable from "not
       instrumented". *)
 
+  val to_value : t -> Json.t
+  (** The snapshot as one JSON object, keys in a fixed order:
+      [sites], [counters], [gauges], [dropped], [events]. *)
+
+  val of_value : Json.t -> t option
+  (** Strict inverse of {!to_value}: exactly that key order (at every
+      level), integers only, [None] on anything else. *)
+
   val to_json : t -> string
-  (** Deterministic single-line JSON: equal snapshots produce
-      byte-identical strings. *)
+  (** [Json.to_string (to_value s)]: single-line, byte-identical for
+      equal snapshots. *)
 
   val of_json : string -> t option
-  (** Strict inverse of {!to_json} (accepts exactly the writer's fixed
-      key order): [of_json (to_json s) = Some s].  Used by campaign
-      checkpoints to restore a snapshot across a restart. *)
+  (** {!Json.parse} then {!of_value}: [of_json (to_json s) = Some s].
+      Any whitespace between tokens is accepted, so campaign checkpoints
+      written in the compact form still restore. *)
 
   val report :
     ?top:int -> label:(int -> string option) -> Format.formatter -> t -> unit

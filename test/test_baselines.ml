@@ -184,6 +184,26 @@ let hwasan_tests =
             Vm.Machine.pp_outcome o);
     clean hwasan "no false positives" benign;
     preserves hwasan "semantics preserved" benign;
+    Alcotest.test_case "free never redraws the freed block's own tag"
+      `Quick (fun () ->
+        (* with 255 tags, 3000 cycles hit a same-tag redraw dozens of
+           times unless free excludes the current tag *)
+        let vrt = Baselines.Hwasan.fresh_runtime () in
+        let malloc = Option.get vrt.Vm.Runtime.malloc in
+        let free = Option.get vrt.Vm.Runtime.free_ in
+        let st = Vm.State.create ~seed:7 () in
+        for i = 1 to 3000 do
+          let p = malloc st 32 in
+          free st p;
+          let raw = Baselines.Hwasan.strip p in
+          let mem_tag =
+            Vm.Memory.load_byte st.Vm.State.mem
+              (Vm.Layout46.tags_base + (raw / Baselines.Hwasan.granule))
+          in
+          if mem_tag = Baselines.Hwasan.tag_of p then
+            Alcotest.failf "cycle %d: stale pointer keeps tag 0x%02x" i
+              mem_tag
+        done);
     clean hwasan "tagged pointers cross libc via TBI"
       "int main() { char *p = (char*)malloc(16); strcpy(p, \"hello\"); \
        int n = (int)strlen(p); char *q = strchr(p, 'l'); \
