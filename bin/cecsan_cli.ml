@@ -392,4 +392,9 @@ let cmd =
           $ telemetry_json $ no_opt $ budget $ recover $ max_reports
           $ inject $ fuel_budget $ backend)
 
-let () = exit (Cmd.eval cmd)
+(* Cmdliner reports a bad command line with its own code (124); the CLIs
+   keep the conventional 2 (README "Exit codes"). *)
+let () =
+  match Cmd.eval_value ~catch:false cmd with
+  | Ok _ -> exit 0
+  | Error _ -> exit 2

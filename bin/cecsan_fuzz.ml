@@ -259,4 +259,9 @@ let cmd =
           $ telemetry_json $ faults $ checkpoint $ resume
           $ shard_size $ max_retries $ backend)
 
-let () = Cmd.eval cmd |> exit
+(* Cmdliner reports a bad command line with its own code (124); the CLIs
+   keep the conventional 2 (README "Exit codes"). *)
+let () =
+  match Cmd.eval_value ~catch:false cmd with
+  | Ok _ -> exit 0
+  | Error _ -> exit 2

@@ -135,4 +135,9 @@ let cmd =
     (Cmd.info "cecsan_serve" ~version:"1.0" ~doc)
     Term.(const serve $ jobs $ batch $ backend $ snapshot_json)
 
-let () = Cmd.eval cmd |> exit
+(* Cmdliner reports a bad command line with its own code (124); the CLIs
+   keep the conventional 2 (README "Exit codes"). *)
+let () =
+  match Cmd.eval_value ~catch:false cmd with
+  | Ok _ -> exit 0
+  | Error _ -> exit 2

@@ -42,37 +42,40 @@ let chunk_total size = rz_left + align_up size 8 + rz_right size
 
 (* --- the replacement allocator -------------------------------------------- *)
 
+(* Like Vm.Alloc.malloc, a negative size or an exhausted heap yields 0
+   (NULL) and leaves the allocator untouched. *)
 let asan_malloc rt (st : Vm.State.t) size =
-  if size < 0 then
-    Vm.Report.trap Vm.Report.Heap_corruption ~detail:"negative size";
-  (* the custom allocator bypasses Vm.Heap, so it probes the injector
-     itself to share the run's OOM budget *)
-  if Vm.Fault.should_oom st.Vm.State.fault then 0 else begin
   let total = chunk_total size in
   let chunk =
-    match Hashtbl.find_opt rt.free_lists total with
-    | Some ({ contents = c :: rest } as l) ->
-      l := rest;
-      c
-    | Some { contents = [] } | None ->
-      let c = align_up st.alloc.Vm.Alloc.brk 16 in
-      st.alloc.Vm.Alloc.brk <- c + total;
-      if st.alloc.Vm.Alloc.brk >= Vm.Layout46.heap_limit then
-        Vm.Report.trap Vm.Report.Heap_corruption
-          ~detail:"out of simulated heap";
-      c
+    (* the custom allocator bypasses Vm.Heap, so it probes the injector
+       itself to share the run's OOM budget *)
+    if Vm.Fault.should_oom st.Vm.State.fault || size < 0 then None
+    else
+      match Hashtbl.find_opt rt.free_lists total with
+      | Some ({ contents = c :: rest } as l) ->
+        l := rest;
+        Some c
+      | Some { contents = [] } | None ->
+        let c = align_up st.alloc.Vm.Alloc.brk 16 in
+        if c + total >= Vm.Layout46.heap_limit then None
+        else begin
+          st.alloc.Vm.Alloc.brk <- c + total;
+          Some c
+        end
   in
-  let payload = chunk + rz_left in
-  Shadow.poison st chunk rz_left Shadow.heap_left;
-  Shadow.unpoison st payload size;
-  let tail = payload + align_up size 8 in
-  Shadow.poison st tail (chunk + total - tail) Shadow.heap_right;
-  Hashtbl.replace rt.blocks payload size;
-  st.heap_allocs <- st.heap_allocs + 1;
-  (* malloc cost plus redzone poisoning, proportional to redzone bytes *)
-  Vm.State.tick st (Vm.Cost.malloc size + ((total - size) / 8) + 55);
-  payload
-  end
+  match chunk with
+  | None -> 0
+  | Some chunk ->
+    let payload = chunk + rz_left in
+    Shadow.poison st chunk rz_left Shadow.heap_left;
+    Shadow.unpoison st payload size;
+    let tail = payload + align_up size 8 in
+    Shadow.poison st tail (chunk + total - tail) Shadow.heap_right;
+    Hashtbl.replace rt.blocks payload size;
+    st.heap_allocs <- st.heap_allocs + 1;
+    (* malloc cost plus redzone poisoning, proportional to redzone bytes *)
+    Vm.State.tick st (Vm.Cost.malloc size + ((total - size) / 8) + 55);
+    payload
 
 let asan_free rt (st : Vm.State.t) payload =
   if payload = 0 then ()
@@ -266,27 +269,14 @@ let protect_globals (md : modul) : instr list =
   md.m_globals <- with_rz;
   !init
 
-let insert_checks (md : modul) (f : func) : unit =
-  Tir.Rewrite.map_instrs
-    (function
-      | Iload { addr; size; _ } as i ->
-        [ Iintrin { dst = None; name = "__asan_check_load";
-                    args = [ addr; Imm size ]; site = fresh_site md };
-          i ]
-      | Istore { addr; size; _ } as i ->
-        [ Iintrin { dst = None; name = "__asan_check_store";
-                    args = [ addr; Imm size ]; site = fresh_site md };
-          i ]
-      | i -> [ i ])
-    f
+(* Every access is shadow-checked; stack and global redzones are ASan's
+   own. *)
+let policy : Sanitizer.Skeleton.t =
+  Sanitizer.Skeleton.checks ~load:"__asan_check_load"
+    ~store:"__asan_check_store" ~produces_addr:false ~check_safe:true
 
-let instrument (md : modul) : unit =
-  Tir.Analysis.run md;
-  iter_funcs md (fun f ->
-      if not f.f_external then begin
-        protect_stack md f;
-        insert_checks md f
-      end);
+let instrument_with (policy : Sanitizer.Skeleton.t) (md : modul) : unit =
+  Sanitizer.Skeleton.instrument policy md ~per_func:(protect_stack md);
   let init = protect_globals md in
   match find_func md "main" with
   | Some main -> Tir.Rewrite.insert_prologue main init
@@ -395,21 +385,14 @@ let fresh_runtime ?(quarantine_cap = default_quarantine_cap) () :
 
 (* ASan performs no check optimization; the verifier spec still lets
    Tir.Verify prove every unsafe access sits behind its shadow check. *)
-let verify_spec : Tir.Verify.spec = {
-  check_load = "__asan_check_load";
-  check_store = "__asan_check_store";
-  produces_addr = false;
-  strip_mask = -1;
-  may_hoist_stores = false;
-  hazard_intrinsics = [ "__asan_poison"; "__asan_unpoison" ];
-  extcall_strip = None;
-  absint = None;
-}
+let verify_spec : Tir.Verify.spec =
+  Sanitizer.Skeleton.verify_spec policy
+    ~hazards:[ "__asan_poison"; "__asan_unpoison" ]
 
 let sanitizer ?quarantine_cap () : Sanitizer.Spec.t =
   {
     Sanitizer.Spec.name;
-    instrument;
+    instrument = instrument_with policy;
     optimize = (fun _ -> ());
     verify = Some verify_spec;
     fresh_runtime = (fun () -> fresh_runtime ?quarantine_cap ());

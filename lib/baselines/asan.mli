@@ -19,10 +19,14 @@ val asan_free : t -> Vm.State.t -> int -> unit
 val check : t -> Vm.State.t -> write:bool -> int -> int -> unit
 val check_region : t -> Vm.State.t -> write:bool -> int -> int -> unit
 
-val protect_stack : Tir.Ir.modul -> Tir.Ir.func -> unit
-val protect_globals : Tir.Ir.modul -> Tir.Ir.instr list
-val insert_checks : Tir.Ir.modul -> Tir.Ir.func -> unit
-val instrument : Tir.Ir.modul -> unit
+val policy : Sanitizer.Skeleton.t
+(** Checks on every access; redzones are ASan's own. *)
+
+val instrument_with : Sanitizer.Skeleton.t -> Tir.Ir.modul -> unit
+(** The skeleton's check phase under the given policy, with ASan's stack
+    and global redzones; ASan-- passes its debloated policy. *)
+
+val verify_spec : Tir.Verify.spec
 
 val fresh_runtime : ?quarantine_cap:int -> unit -> Vm.Runtime.t
 val sanitizer : ?quarantine_cap:int -> unit -> Sanitizer.Spec.t

@@ -35,45 +35,12 @@ let model : Tir.Absint.model = {
   am_slots = false;  (* protect_stack renumbers slots; play safe *)
 }
 
-let spec : Sanitizer.Checkopt.spec = {
-  check_load = "__asan_check_load";
-  check_store = "__asan_check_store";
-  produces_addr = false;
-  strip_mask = -1;
-  may_hoist_stores = false;
-  hazard_intrinsics = [ "__asan_poison"; "__asan_unpoison" ];
-  extcall_strip = None;
-  absint = Some model;
-}
+let spec : Sanitizer.Checkopt.spec =
+  { Asan.verify_spec with absint = Some model }
 
 (* Unlike plain ASan, skip instrumenting accesses proven in-bounds. *)
-let insert_checks_elided (md : Tir.Ir.modul) (f : Tir.Ir.func) : unit =
-  Tir.Rewrite.map_instrs
-    (function
-      | Tir.Ir.Iload { addr; size; safe = false; _ } as i ->
-        [ Tir.Ir.Iintrin { dst = None; name = "__asan_check_load";
-                           args = [ addr; Tir.Ir.Imm size ];
-                           site = Tir.Ir.fresh_site md };
-          i ]
-      | Tir.Ir.Istore { addr; size; safe = false; _ } as i ->
-        [ Tir.Ir.Iintrin { dst = None; name = "__asan_check_store";
-                           args = [ addr; Tir.Ir.Imm size ];
-                           site = Tir.Ir.fresh_site md };
-          i ]
-      | i -> [ i ])
-    f
-
-let instrument (md : Tir.Ir.modul) : unit =
-  Tir.Analysis.run md;
-  Tir.Ir.iter_funcs md (fun f ->
-      if not f.Tir.Ir.f_external then begin
-        Asan.protect_stack md f;
-        insert_checks_elided md f
-      end);
-  let init = Asan.protect_globals md in
-  match Tir.Ir.find_func md "main" with
-  | Some main -> Tir.Rewrite.insert_prologue main init
-  | None -> ()
+let instrument : Tir.Ir.modul -> unit =
+  Asan.instrument_with { Asan.policy with check_safe = false }
 
 let optimize (md : Tir.Ir.modul) : unit =
   let is_hazard n = List.mem n spec.hazard_intrinsics in

@@ -133,143 +133,32 @@ let check (st : Vm.State.t) ~write addr size =
 
 (* --- instrumentation ---------------------------------------------------------- *)
 
-let insert_checks (md : modul) (f : func) : unit =
-  Tir.Rewrite.map_instrs
-    (function
-      | Iload { addr; size; _ } as i ->
-        [ Iintrin { dst = None; name = "__hwasan_check_load";
-                    args = [ addr; Imm size ]; site = fresh_site md };
-          i ]
-      | Istore { addr; size; _ } as i ->
-        [ Iintrin { dst = None; name = "__hwasan_check_store";
-                    args = [ addr; Imm size ]; site = fresh_site md };
-          i ]
-      | i -> [ i ])
-    f
+(* Every access is checked (the check only compares tags); unsafe
+   globals are tagged at startup and referenced through an intrinsic
+   (modelling the tagged-global relocations of the real toolchain);
+   unsafe stack slots are tagged in the prologue and retagged to 0 in
+   the epilogue. *)
+let policy : Sanitizer.Skeleton.t = {
+  (Sanitizer.Skeleton.checks ~load:"__hwasan_check_load"
+     ~store:"__hwasan_check_store" ~produces_addr:false ~check_safe:true)
+  with
+  gpt_load = Some "__hwasan_global_addr";
+  global_make = Some "__hwasan_tag_global";
+  stack = Some ("__hwasan_tag_stack", "__hwasan_untag_stack");
+}
 
-(* Stack tagging: unsafe slots are padded to the granule, tagged in the
-   prologue and retagged to 0 in the epilogue; the slot address
-   instruction yields the tagged pointer. *)
-let protect_stack (md : modul) (f : func) : unit =
-  let unsafe = List.filter (fun s -> s.s_unsafe) f.f_slots in
-  if unsafe <> [] then begin
-    (* round unsafe slots to whole granules and align them *)
-    f.f_slots <-
-      List.map
-        (fun s ->
-           if s.s_unsafe then
-             { s with
-               s_size = (s.s_size + granule - 1) / granule * granule;
-               s_align = max s.s_align granule }
-           else s)
-        f.f_slots;
-    let tag_reg : (int, int) Hashtbl.t = Hashtbl.create 4 in
-    List.iter (fun s -> Hashtbl.replace tag_reg s.s_id (fresh_reg f)) unsafe;
-    Tir.Rewrite.map_instrs
-      (function
-        | Islot { dst; slot } when Hashtbl.mem tag_reg slot ->
-          [ Imov { dst; src = Reg (Hashtbl.find tag_reg slot) } ]
-        | i -> [ i ])
-      f;
-    let sizes : (int, int) Hashtbl.t = Hashtbl.create 4 in
-    List.iter
+(* Unsafe slots are padded to whole granules and aligned, so the tag
+   covers exactly the granules the slot owns. *)
+let pad_unsafe_slots (f : func) : unit =
+  f.f_slots <-
+    List.map
       (fun s ->
          if s.s_unsafe then
-           Hashtbl.replace sizes s.s_id
-             ((s.s_size + granule - 1) / granule * granule))
-      f.f_slots;
-    let prologue =
-      List.concat_map
-        (fun s ->
-           let a = fresh_reg f in
-           [ Islot { dst = a; slot = s.s_id };
-             Iintrin { dst = Some (Hashtbl.find tag_reg s.s_id);
-                       name = "__hwasan_tag_stack";
-                       args = [ Reg a; Imm (Hashtbl.find sizes s.s_id) ];
-                       site = fresh_site md } ])
-        unsafe
-    in
-    Tir.Rewrite.insert_prologue f prologue;
-    Tir.Rewrite.insert_before_rets f (fun () ->
-        List.map
-          (fun s ->
-             Iintrin { dst = None; name = "__hwasan_untag_stack";
-                       args = [ Reg (Hashtbl.find tag_reg s.s_id);
-                                Imm (Hashtbl.find sizes s.s_id) ];
-                       site = fresh_site md })
-          unsafe)
-  end
-
-(* Global tagging: unsafe globals are tagged at startup; references load
-   the tagged address through an intrinsic (modelling the tagged-global
-   relocations of the real toolchain). *)
-let protect_globals (md : modul) : unit =
-  let slots =
-    let k = ref (-1) in
-    List.filter_map
-      (fun g ->
-         if g.g_unsafe then begin
-           incr k;
-           Some (g.g_name, g, !k)
-         end
-         else None)
-      md.m_globals
-  in
-  let slot_of : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (n, _, k) -> Hashtbl.replace slot_of n k) slots;
-  iter_funcs md (fun f ->
-      if not f.f_external then
-        Array.iter
-          (fun b ->
-             b.b_instrs <-
-               List.concat_map
-                 (fun i ->
-                    let prefix = ref [] in
-                    let fix o =
-                      match o with
-                      | Glob g when Hashtbl.mem slot_of g ->
-                        let r = fresh_reg f in
-                        prefix :=
-                          Iintrin { dst = Some r;
-                                    name = "__hwasan_global_addr";
-                                    args = [ Imm (Hashtbl.find slot_of g) ];
-                                    site = fresh_site md }
-                          :: !prefix;
-                        Reg r
-                      | o -> o
-                    in
-                    let i' =
-                      match i with
-                      | Imov c -> Imov { c with src = fix c.src }
-                      | Ibin c -> Ibin { c with a = fix c.a; b = fix c.b }
-                      | Icmp c -> Icmp { c with a = fix c.a; b = fix c.b }
-                      | Isext c -> Isext { c with src = fix c.src }
-                      | Iload c -> Iload { c with addr = fix c.addr }
-                      | Istore c ->
-                        Istore { c with addr = fix c.addr; src = fix c.src }
-                      | Islot _ -> i
-                      | Igep c ->
-                        Igep { c with base = fix c.base;
-                                      idx = Option.map fix c.idx }
-                      | Icall c -> Icall { c with args = List.map fix c.args }
-                      | Iintrin c ->
-                        Iintrin { c with args = List.map fix c.args }
-                    in
-                    List.rev (i' :: !prefix))
-                 b.b_instrs)
-          f.f_blocks);
-  match find_func md "main" with
-  | None -> ()
-  | Some main ->
-    let init =
-      List.concat_map
-        (fun (gname, g, k) ->
-           [ Iintrin { dst = None; name = "__hwasan_tag_global";
-                       args = [ Glob gname; Imm g.g_size; Imm k ];
-                       site = fresh_site md } ])
-        slots
-    in
-    Tir.Rewrite.insert_prologue main init
+           { s with
+             s_size = (s.s_size + granule - 1) / granule * granule;
+             s_align = max s.s_align granule }
+         else s)
+      f.f_slots
 
 (* Unsafe globals must own their granules exclusively: align to the
    granule and pad the size, or tagging would clobber a neighbor. *)
@@ -287,14 +176,22 @@ let granule_align_globals (md : modul) : unit =
          else g)
       md.m_globals
 
+(* Unlike the table-based tools, globals are rewritten and registered
+   before stack tagging, so their tags are drawn first. *)
 let instrument (md : modul) : unit =
+  let module S = Sanitizer.Skeleton in
   Tir.Analysis.run md;
   granule_align_globals md;
-  protect_globals md;
+  let globals = S.protected_globals md in
+  iter_funcs md (fun f ->
+      if not f.f_external then
+        S.rewrite_globals policy md globals f);
+  S.insert_global_init policy md globals;
   iter_funcs md (fun f ->
       if not f.f_external then begin
-        protect_stack md f;
-        insert_checks md f
+        pad_unsafe_slots f;
+        S.protect_stack ~sized_release:true policy md f;
+        S.insert_checks policy md f
       end)
 
 (* --- read-side interceptors ----------------------------------------------------
@@ -399,17 +296,7 @@ let fresh_runtime () : Vm.Runtime.t =
   vrt
 
 (* No check optimization; tag/untag operations are the metadata hazards. *)
-let verify_spec : Tir.Verify.spec = {
-  check_load = "__hwasan_check_load";
-  check_store = "__hwasan_check_store";
-  produces_addr = false;
-  strip_mask = -1;
-  may_hoist_stores = false;
-  hazard_intrinsics =
-    [ "__hwasan_tag_stack"; "__hwasan_untag_stack"; "__hwasan_tag_global" ];
-  extcall_strip = None;
-  absint = None;
-}
+let verify_spec : Tir.Verify.spec = Sanitizer.Skeleton.verify_spec policy
 
 let sanitizer () : Sanitizer.Spec.t =
   { Sanitizer.Spec.name; instrument; optimize = (fun _ -> ());

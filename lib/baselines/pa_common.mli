@@ -38,7 +38,6 @@ val auth : t -> Vm.State.t -> write:bool -> int -> int -> int
 val pa_malloc : t -> Vm.State.t -> int -> int
 val pa_free : t -> Vm.State.t -> int -> unit
 
-val instrument : policy -> Tir.Ir.modul -> unit
 val interceptors : t -> string -> Vm.Runtime.interceptor option
 val fresh_runtime : policy -> unit -> Vm.Runtime.t
 val sanitizer : policy -> Sanitizer.Spec.t

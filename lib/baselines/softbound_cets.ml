@@ -155,99 +155,69 @@ let unwrapped_ptr_return = function
   | "strchr" | "strdup" | "fgets" -> true
   | _ -> false
 
+(* Checks only where not proven in bounds; unsafe globals get
+   whole-program metadata at startup (no pointer table: the metadata is
+   keyed by address). *)
+let policy : Sanitizer.Skeleton.t = {
+  (Sanitizer.Skeleton.checks ~load:"__sb_check_load" ~store:"__sb_check_store"
+     ~produces_addr:false ~check_safe:false)
+  with
+  global_make = Some "__sb_global_create";
+  alloc_prefix = Some "__sb_";
+}
+
+(* Pointer metadata follows arithmetic (geps) and memory (8-byte loads
+   and stores), behind the access and its check. *)
+let propagate_meta (md : modul) : instr -> instr list = function
+  | Igep { dst; base; _ } ->
+    [ Iintrin { dst = None; name = "__sb_copy_meta"; args = [ Reg dst; base ];
+                site = fresh_site md } ]
+  | Iload { dst; addr; size = 8; _ } ->
+    [ Iintrin { dst = None; name = "__sb_load_meta"; args = [ addr; Reg dst ];
+                site = fresh_site md } ]
+  | Istore { addr; src; size = 8; _ } ->
+    [ Iintrin { dst = None; name = "__sb_store_meta"; args = [ addr; src ];
+                site = fresh_site md } ]
+  | _ -> []
+
+(* Stack objects get metadata in the prologue, destroyed before every
+   return through a re-materialised slot address (pointers are not
+   tagged, so slot addresses are left alone). *)
+let protect_stack (md : modul) (f : func) : unit =
+  let unsafe = List.filter (fun s -> s.s_unsafe) f.f_slots in
+  if unsafe <> [] then begin
+    let prologue =
+      List.concat_map
+        (fun s ->
+           let a = fresh_reg f in
+           [ Islot { dst = a; slot = s.s_id };
+             Iintrin { dst = None; name = "__sb_stack_create";
+                       args = [ Reg a; Imm s.s_size ];
+                       site = fresh_site md } ])
+        unsafe
+    in
+    Tir.Rewrite.insert_prologue f prologue;
+    Tir.Rewrite.insert_before_rets f (fun () ->
+        List.concat_map
+          (fun s ->
+             let a = fresh_reg f in
+             [ Islot { dst = a; slot = s.s_id };
+               Iintrin { dst = None; name = "__sb_stack_destroy";
+                         args = [ Reg a ]; site = fresh_site md } ])
+          unsafe)
+  end
+
 let instrument (md : modul) : unit =
+  let module S = Sanitizer.Skeleton in
   check_supported md;
   Tir.Analysis.run md;
   iter_funcs md (fun f ->
       if not f.f_external then begin
-        (* allocation family *)
-        Tir.Rewrite.map_instrs
-          (function
-            | Icall { dst; callee; args }
-              when Sanitizer.Spec.is_alloc_family callee ->
-              [ Iintrin { dst; name = "__sb_" ^ callee; args;
-                          site = fresh_site md } ]
-            | i -> [ i ])
-          f;
-        (* metadata propagation and checks *)
-        Tir.Rewrite.map_instrs
-          (function
-            | Igep { dst; base; _ } as i ->
-              (* propagate pointer metadata through arithmetic *)
-              [ i;
-                Iintrin { dst = None; name = "__sb_copy_meta";
-                          args = [ Reg dst; base ]; site = fresh_site md } ]
-            | Iload { dst; addr; size; safe; _ } as i ->
-              let check =
-                if safe then []
-                else
-                  [ Iintrin { dst = None; name = "__sb_check_load";
-                              args = [ addr; Imm size ];
-                              site = fresh_site md } ]
-              in
-              if size = 8 then
-                (* a pointer may be loaded: fetch its in-memory metadata *)
-                check
-                @ [ i;
-                    Iintrin { dst = None; name = "__sb_load_meta";
-                              args = [ addr; Reg dst ];
-                              site = fresh_site md } ]
-              else check @ [ i ]
-            | Istore { addr; src; size; safe; _ } as i ->
-              let check =
-                if safe then []
-                else
-                  [ Iintrin { dst = None; name = "__sb_check_store";
-                              args = [ addr; Imm size ];
-                              site = fresh_site md } ]
-              in
-              if size = 8 then
-                check
-                @ [ i;
-                    Iintrin { dst = None; name = "__sb_store_meta";
-                              args = [ addr; src ]; site = fresh_site md } ]
-              else check @ [ i ]
-            | i -> [ i ])
-          f;
-        (* stack objects *)
-        let unsafe = List.filter (fun s -> s.s_unsafe) f.f_slots in
-        if unsafe <> [] then begin
-          let prologue =
-            List.concat_map
-              (fun s ->
-                 let a = fresh_reg f in
-                 [ Islot { dst = a; slot = s.s_id };
-                   Iintrin { dst = None; name = "__sb_stack_create";
-                             args = [ Reg a; Imm s.s_size ];
-                             site = fresh_site md } ])
-              unsafe
-          in
-          Tir.Rewrite.insert_prologue f prologue;
-          Tir.Rewrite.insert_before_rets f (fun () ->
-              List.concat_map
-                (fun s ->
-                   let a = fresh_reg f in
-                   [ Islot { dst = a; slot = s.s_id };
-                     Iintrin { dst = None; name = "__sb_stack_destroy";
-                               args = [ Reg a ]; site = fresh_site md } ])
-                unsafe)
-        end
+        S.rename_allocs policy md f;
+        S.insert_checks policy md f ~after:(propagate_meta md);
+        protect_stack md f
       end);
-  (* globals get whole-program metadata at startup *)
-  match find_func md "main" with
-  | None -> ()
-  | Some main ->
-    let init =
-      List.concat_map
-        (fun g ->
-           if g.g_unsafe then
-             [ Iintrin { dst = None; name = "__sb_global_create";
-                         args = [ Glob g.g_name; Imm g.g_size ];
-                         site = fresh_site md } ]
-           else [])
-        md.m_globals
-    in
-    Tir.Rewrite.insert_prologue main init
+  S.insert_global_init policy md (S.protected_globals md)
 
 (* --- interceptors: the wrapped subset ------------------------------------------ *)
 
@@ -334,7 +304,7 @@ let fresh_runtime () : Vm.Runtime.t =
   reg "__sb_calloc" (fun st a ->
       let n = a.(0) * a.(1) in
       let p = sb_malloc rt st n in
-      Vm.Memory.fill st.Vm.State.mem ~dst:p ~len:n 0;
+      if p <> 0 then Vm.Memory.fill st.Vm.State.mem ~dst:p ~len:n 0;
       Vm.State.tick st (Vm.Cost.mem_op n);
       p);
   reg "__sb_realloc" (fun st a ->
@@ -408,18 +378,9 @@ let fresh_runtime () : Vm.Runtime.t =
 
 (* No check optimization; allocation/lifetime intrinsics invalidate the
    disjoint metadata a previous check relied on. *)
-let verify_spec : Tir.Verify.spec = {
-  check_load = "__sb_check_load";
-  check_store = "__sb_check_store";
-  produces_addr = false;
-  strip_mask = -1;
-  may_hoist_stores = false;
-  hazard_intrinsics =
-    [ "__sb_malloc"; "__sb_free"; "__sb_calloc"; "__sb_realloc";
-      "__sb_stack_create"; "__sb_stack_destroy"; "__sb_global_create" ];
-  extcall_strip = None;
-  absint = None;
-}
+let verify_spec : Tir.Verify.spec =
+  Sanitizer.Skeleton.verify_spec policy
+    ~hazards:[ "__sb_stack_create"; "__sb_stack_destroy" ]
 
 let sanitizer () : Sanitizer.Spec.t =
   { Sanitizer.Spec.name; instrument; optimize = (fun _ -> ());

@@ -1,7 +1,7 @@
 (* CECSan compile-time instrumentation (run at "LTO time", i.e. over the
    fully linked module so external functions are known).
 
-   Phases, in order:
+   The shared skeleton (Sanitizer.Skeleton) runs the phases, in order:
      1. downgrade [safe] flags of accesses rooted at unsafe objects
         (their addresses will be tagged, so they must go through checks);
      2. GPT rewrite: accesses to unsafe globals load a tagged pointer
@@ -10,7 +10,7 @@
         released in epilogues;
      4. allocation-family rewrite: malloc/free/calloc/realloc become
         CECSan intrinsics that tag/validate (section II.B);
-     5. sub-object narrowing (section II.D);
+     5. sub-object narrowing (section II.D) -- CECSan's own;
      6. tag stripping at calls to external, uninstrumented user functions
         (section II.E; libc builtins are handled by interceptors instead);
      7. dereference check insertion (Algorithm 1 call sites);
@@ -19,241 +19,32 @@
 
 open Tir.Ir
 
-let is_alloc_family = Instrument_util.is_alloc_family
-
-(* --- phase 1: downgrade safety of unsafe-rooted accesses ------------------ *)
-
-let downgrade_safe_flags (md : modul) (f : func) : unit =
-  let unsafe_slot = Array.make (List.length f.f_slots) false in
-  List.iter (fun s -> unsafe_slot.(s.s_id) <- s.s_unsafe) f.f_slots;
-  let unsafe_glob : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-  List.iter (fun g -> if g.g_unsafe then Hashtbl.replace unsafe_glob g.g_name ())
-    md.m_globals;
+(* A branch on a protected global's address is always true. *)
+let fold_global_branches (md : modul) (f : func) : unit =
   Array.iter
     (fun b ->
-       let rooted : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-       let opnd_rooted = function
-         | Reg r -> Hashtbl.mem rooted r
-         | Glob g -> Hashtbl.mem unsafe_glob g
-         | Imm _ -> false
-       in
-       b.b_instrs <-
-         List.map
-           (fun i ->
-              let i' =
-                match i with
-                | Iload ({ addr; safe = true; _ } as l) when opnd_rooted addr
-                  -> Iload { l with safe = false }
-                | Istore ({ addr; safe = true; _ } as s) when opnd_rooted addr
-                  -> Istore { s with safe = false }
-                | i -> i
-              in
-              (match i' with
-               | Islot { dst; slot } when unsafe_slot.(slot) ->
-                 Hashtbl.replace rooted dst ()
-               | Igep { dst; base; _ } when opnd_rooted base ->
-                 Hashtbl.replace rooted dst ()
-               | _ ->
-                 (match defs i' with
-                  | Some d -> Hashtbl.remove rooted d
-                  | None -> ()));
-              i')
-           b.b_instrs)
+       match b.b_term with
+       | Tcbr (Glob g, x, y)
+         when List.exists (fun gl -> gl.g_unsafe && gl.g_name = g)
+             md.m_globals ->
+         b.b_term <- Tcbr (Imm 1, x, y)
+       | _ -> ())
     f.f_blocks
-
-(* --- phase 2: the Global Pointer Table ------------------------------------ *)
-
-let gpt_slots (md : modul) : (string * global * int) list =
-  let k = ref (-1) in
-  List.filter_map
-    (fun g ->
-       if g.g_unsafe then begin
-         incr k;
-         Some (g.g_name, g, !k)
-       end
-       else None)
-    md.m_globals
-
-let rewrite_globals (md : modul) (slots : (string * global * int) list)
-    (f : func) : unit =
-  let slot_of : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (n, _, k) -> Hashtbl.replace slot_of n k) slots;
-  let rewrite_block b =
-    b.b_instrs <-
-      List.concat_map
-        (fun i ->
-           let prefix = ref [] in
-           let fix o =
-             match o with
-             | Glob g ->
-               (match Hashtbl.find_opt slot_of g with
-                | Some k ->
-                  let r = fresh_reg f in
-                  prefix :=
-                    Iintrin { dst = Some r; name = "__cecsan_gpt_load";
-                              args = [ Imm k ]; site = fresh_site md }
-                    :: !prefix;
-                  Reg r
-                | None -> o)
-             | Reg _ | Imm _ -> o
-           in
-           let i' =
-             match i with
-             | Imov c -> Imov { c with src = fix c.src }
-             | Ibin c -> Ibin { c with a = fix c.a; b = fix c.b }
-             | Icmp c -> Icmp { c with a = fix c.a; b = fix c.b }
-             | Isext c -> Isext { c with src = fix c.src }
-             | Iload c -> Iload { c with addr = fix c.addr }
-             | Istore c -> Istore { c with addr = fix c.addr; src = fix c.src }
-             | Islot _ -> i
-             | Igep c ->
-               Igep { c with base = fix c.base; idx = Option.map fix c.idx }
-             | Icall c -> Icall { c with args = List.map fix c.args }
-             | Iintrin c -> Iintrin { c with args = List.map fix c.args }
-           in
-           List.rev (i' :: !prefix))
-        b.b_instrs;
-    b.b_term <-
-      (match b.b_term with
-       | Tcbr (Glob g, x, y) when Hashtbl.mem slot_of g ->
-         (* a branch on a global's address is always true; keep simple *)
-         Tcbr (Imm 1, x, y)
-       | t -> t)
-  in
-  Array.iter rewrite_block f.f_blocks
-
-let insert_gpt_init (md : modul) (slots : (string * global * int) list) : unit =
-  match find_func md "main" with
-  | None -> ()
-  | Some main ->
-    let init =
-      List.concat_map
-        (fun (name, g, k) ->
-           [ Iintrin { dst = None; name = "__cecsan_global_make";
-                       args = [ Glob name; Imm g.g_size; Imm k ];
-                       site = fresh_site md } ])
-        slots
-    in
-    Tir.Rewrite.insert_prologue main init
-
-(* --- phase 3: stack protection -------------------------------------------- *)
-
-let protect_stack (md : modul) (f : func) : unit =
-  let unsafe = List.filter (fun s -> s.s_unsafe) f.f_slots in
-  if unsafe <> [] then begin
-    let tag_reg : (int, int) Hashtbl.t = Hashtbl.create 4 in
-    List.iter (fun s -> Hashtbl.replace tag_reg s.s_id (fresh_reg f)) unsafe;
-    (* replace existing slot-address instructions by the tagged pointer *)
-    Tir.Rewrite.map_instrs
-      (function
-        | Islot { dst; slot } when Hashtbl.mem tag_reg slot ->
-          [ Imov { dst; src = Reg (Hashtbl.find tag_reg slot) } ]
-        | i -> [ i ])
-      f;
-    let prologue =
-      List.concat_map
-        (fun s ->
-           let a = fresh_reg f in
-           [ Islot { dst = a; slot = s.s_id };
-             Iintrin { dst = Some (Hashtbl.find tag_reg s.s_id);
-                       name = "__cecsan_stack_make";
-                       args = [ Reg a; Imm s.s_size ];
-                       site = fresh_site md } ])
-        unsafe
-    in
-    Tir.Rewrite.insert_prologue f prologue;
-    Tir.Rewrite.insert_before_rets f (fun () ->
-        List.map
-          (fun s ->
-             Iintrin { dst = None; name = "__cecsan_stack_release";
-                       args = [ Reg (Hashtbl.find tag_reg s.s_id) ];
-                       site = fresh_site md })
-          unsafe)
-  end
-
-(* --- phase 4: allocation family ------------------------------------------- *)
-
-let rewrite_allocs (md : modul) (f : func) : unit =
-  Tir.Rewrite.map_instrs
-    (function
-      | Icall { dst; callee; args } when is_alloc_family callee ->
-        [ Iintrin { dst; name = "__cecsan_" ^ callee; args;
-                    site = fresh_site md } ]
-      | i -> [ i ])
-    f
-
-(* --- phase 6: external user calls ------------------------------------------ *)
-
-let strip_external_calls (md : modul) (f : func) : unit =
-  Tir.Rewrite.map_instrs
-    (function
-      | Icall { dst; callee; args } as i ->
-        (match find_func md callee with
-         | Some { f_external = true; f_sig_ptrs; _ } ->
-           let prefix = ref [] in
-           let args' =
-             List.mapi
-               (fun k a ->
-                  let is_ptr =
-                    match List.nth_opt f_sig_ptrs k with
-                    | Some b -> b
-                    | None -> false
-                  in
-                  if is_ptr then begin
-                    let r = fresh_reg f in
-                    prefix :=
-                      Iintrin { dst = Some r;
-                                name = "__cecsan_extcall_strip";
-                                args = [ a ]; site = fresh_site md }
-                      :: !prefix;
-                    Reg r
-                  end
-                  else a)
-               args
-           in
-           List.rev !prefix @ [ Icall { dst; callee; args = args' } ]
-         | _ -> [ i ])
-      | i -> [ i ])
-    f
-
-(* --- phase 7: dereference checks ------------------------------------------- *)
-
-let insert_checks (md : modul) (cfg : Config.t) (f : func) : unit =
-  let should_check safe = (not safe) || not cfg.Config.opt_typeinfo in
-  Tir.Rewrite.map_instrs
-    (function
-      | Iload ({ addr; size; safe; _ } as l) when should_check safe ->
-        let r = fresh_reg f in
-        [ Iintrin { dst = Some r; name = "__cecsan_check_load";
-                    args = [ addr; Imm size ]; site = fresh_site md };
-          Iload { l with addr = Reg r } ]
-      | Istore ({ addr; size; safe; _ } as s) when should_check safe ->
-        let r = fresh_reg f in
-        [ Iintrin { dst = Some r; name = "__cecsan_check_store";
-                    args = [ addr; Imm size ]; site = fresh_site md };
-          Istore { s with addr = Reg r } ]
-      | i -> [ i ])
-    f
-
-(* --- driver ----------------------------------------------------------------- *)
 
 (* Check/metadata insertion only; [optimize] is the separate section
    II.F phase so the driver can verify coverage on both sides of it. *)
 let instrument ?(config = Config.default) (md : modul) : unit =
-  (* LTO view: safety analyses over the final linked module *)
-  Tir.Analysis.run md;
-  let slots = if config.Config.protect_globals then gpt_slots md else [] in
-  iter_funcs md (fun f ->
-      if not f.f_external then begin
-        downgrade_safe_flags md f;
-        rewrite_globals md slots f;
-        if config.Config.protect_stack then protect_stack md f;
-        rewrite_allocs md f;
-        if config.Config.subobject then ignore (Subobject.narrow md f);
-        strip_external_calls md f;
-        insert_checks md config f
-      end);
-  insert_gpt_init md slots
+  let on flag v = if flag then v else None in
+  let policy =
+    { Opt.policy with
+      check_safe = not config.Config.opt_typeinfo;
+      gpt_load = on config.Config.protect_globals Opt.policy.gpt_load;
+      global_make = on config.Config.protect_globals Opt.policy.global_make;
+      stack = on config.Config.protect_stack Opt.policy.stack }
+  in
+  Sanitizer.Skeleton.instrument policy md ~per_func:(fun f ->
+      if config.Config.protect_globals then fold_global_branches md f;
+      if config.Config.subobject then ignore (Subobject.narrow md f))
 
 let optimize ?(config = Config.default) (md : modul) : unit =
   let pure = Opt.purity md in

@@ -1,13 +1,13 @@
 (** CECSan compile-time instrumentation, run over the fully linked module
     (the LTO model of the paper: external functions are known).
 
-    Phases: safety-flag downgrade for accesses rooted at protected
-    objects, Global Pointer Table rewriting, stack object protection,
-    allocation-family rewriting, sub-object narrowing, tag stripping at
-    external calls, dereference-check insertion, and the section II.F
+    Phases: the shared {!Sanitizer.Skeleton} over {!Opt.policy}
+    (safety-flag downgrade for accesses rooted at protected objects,
+    Global Pointer Table rewriting, stack object protection,
+    allocation-family rewriting, tag stripping at external calls,
+    dereference-check insertion) with CECSan's sub-object narrowing
+    between allocation rewriting and tag stripping, and the section II.F
     optimizations. *)
-
-val is_alloc_family : string -> bool
 
 val instrument : ?config:Config.t -> Tir.Ir.modul -> unit
 (** Check/metadata insertion phases only (no check optimization). *)

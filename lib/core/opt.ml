@@ -32,19 +32,25 @@ let model : Tir.Absint.model = {
   am_slots = true;
 }
 
-let spec : Sanitizer.Checkopt.spec = {
+(* CECSan's intrinsic names, shared by the instrumenter and the
+   verifier spec below; [Instrument] adjusts the config-dependent
+   choices. *)
+let policy : Sanitizer.Skeleton.t = {
   check_load = "__cecsan_check_load";
   check_store = "__cecsan_check_store";
   produces_addr = true;
-  strip_mask = Vm.Layout46.addr_mask;
-  may_hoist_stores = true;
-  hazard_intrinsics =
-    [ "__cecsan_free"; "__cecsan_realloc"; "__cecsan_stack_release";
-      "__cecsan_sub_release"; "__cecsan_sub_make"; "__cecsan_malloc";
-      "__cecsan_calloc"; "__cecsan_stack_make"; "__cecsan_global_make" ];
+  check_safe = false;
+  gpt_load = Some "__cecsan_gpt_load";
+  global_make = Some "__cecsan_global_make";
+  stack = Some ("__cecsan_stack_make", "__cecsan_stack_release");
+  alloc_prefix = Some "__cecsan_";
   extcall_strip = Some "__cecsan_extcall_strip";
-  absint = Some model;
 }
+
+let spec : Sanitizer.Checkopt.spec =
+  Sanitizer.Skeleton.verify_spec policy ~strip_mask:Vm.Layout46.addr_mask
+    ~may_hoist_stores:true ~absint:model
+    ~hazards:[ "__cecsan_sub_release"; "__cecsan_sub_make" ]
 
 (* The purity closure both optimizer passes and the verifier share:
    callees that provably cannot touch sanitizer metadata. *)

@@ -2,7 +2,11 @@
     Unlike redzone tools, CECSan hoists checks on stores as well as
     loads: a store cannot corrupt the disjoint metadata table. *)
 
+val policy : Sanitizer.Skeleton.t
+(** CECSan's instrumentation policy under the default config. *)
+
 val spec : Sanitizer.Checkopt.spec
+(** The verifier/optimizer view of [policy]. *)
 
 val model : Tir.Absint.model
 (** Abstract-interpretation model of the CECSan intrinsics, also

@@ -484,7 +484,7 @@ let intrinsic_table rt : (string * Vm.Runtime.intrinsic) list =
     (fun st a ->
        let n = a.(0) * a.(1) in
        let p = cecsan_malloc rt st n in
-       Vm.Memory.fill st.Vm.State.mem ~dst:(L.strip p) ~len:n 0;
+       if p <> 0 then Vm.Memory.fill st.Vm.State.mem ~dst:(L.strip p) ~len:n 0;
        Vm.State.tick st (Vm.Cost.mem_op n);
        p);
     "__cecsan_realloc", (fun st a -> cecsan_realloc rt st a.(0) a.(1));

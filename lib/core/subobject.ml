@@ -18,22 +18,12 @@
 open Tir.Ir
 
 let acceptable_call callee =
-  Minic.Builtins.is_builtin callee && not (Instrument_util.is_alloc_family callee)
+  Minic.Builtins.is_builtin callee
+  && not (Sanitizer.Spec.is_alloc_family callee)
 
 (* Substitutes operand [Reg old] -> [Reg fresh] in one instruction. *)
-let subst old fresh i =
-  let fix = function Reg r when r = old -> Reg fresh | o -> o in
-  match i with
-  | Imov c -> Imov { c with src = fix c.src }
-  | Ibin c -> Ibin { c with a = fix c.a; b = fix c.b }
-  | Icmp c -> Icmp { c with a = fix c.a; b = fix c.b }
-  | Isext c -> Isext { c with src = fix c.src }
-  | Iload c -> Iload { c with addr = fix c.addr }
-  | Istore c -> Istore { c with addr = fix c.addr; src = fix c.src }
-  | Islot _ -> i
-  | Igep c -> Igep { c with base = fix c.base; idx = Option.map fix c.idx }
-  | Icall c -> Icall { c with args = List.map fix c.args }
-  | Iintrin c -> Iintrin { c with args = List.map fix c.args }
+let subst old fresh =
+  map_opnds (function Reg r when r = old -> Reg fresh | o -> o)
 
 (* Narrows eligible field geps in [f]; returns the number of sites. *)
 let narrow (md : modul) (f : func) : int =

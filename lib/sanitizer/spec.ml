@@ -39,6 +39,8 @@ let none : t = {
 }
 
 (* The allocation-family callees that sanitizers rewrite/wrap. *)
+let alloc_family = [ "malloc"; "free"; "calloc"; "realloc" ]
+
 let is_alloc_family = function
   | "malloc" | "free" | "calloc" | "realloc" -> true
   | _ -> false

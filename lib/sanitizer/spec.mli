@@ -27,5 +27,8 @@ type t = {
 val none : t
 (** The uninstrumented baseline: plain `clang -O2`. *)
 
-val is_alloc_family : string -> bool
+val alloc_family : string list
 (** malloc/free/calloc/realloc: the callees sanitizers rewrite or wrap. *)
+
+val is_alloc_family : string -> bool
+(** Membership in {!alloc_family}. *)

@@ -198,6 +198,21 @@ let uses = function
     opnd_uses base @ (match idx with Some o -> opnd_uses o | None -> [])
   | Icall { args; _ } | Iintrin { args; _ } -> List.concat_map opnd_uses args
 
+(* The operands are visited in a fixed order, so a [f] with side
+   effects (minting registers or sites) stays deterministic. *)
+let map_opnds (fix : opnd -> opnd) (i : instr) : instr =
+  match i with
+  | Imov c -> Imov { c with src = fix c.src }
+  | Ibin c -> Ibin { c with a = fix c.a; b = fix c.b }
+  | Icmp c -> Icmp { c with a = fix c.a; b = fix c.b }
+  | Isext c -> Isext { c with src = fix c.src }
+  | Iload c -> Iload { c with addr = fix c.addr }
+  | Istore c -> Istore { c with addr = fix c.addr; src = fix c.src }
+  | Islot _ -> i
+  | Igep c -> Igep { c with base = fix c.base; idx = Option.map fix c.idx }
+  | Icall c -> Icall { c with args = List.map fix c.args }
+  | Iintrin c -> Iintrin { c with args = List.map fix c.args }
+
 let term_uses = function
   | Tret (Some o) | Tcbr (o, _, _) -> opnd_uses o
   | Tret None | Tbr _ -> []

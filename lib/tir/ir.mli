@@ -132,6 +132,10 @@ val defs : instr -> int option
 (** The register defined by an instruction, if any. *)
 
 val uses : instr -> int list
+
+val map_opnds : (opnd -> opnd) -> instr -> instr
+(** Rewrites every operand of an instruction, in a fixed order. *)
+
 val term_uses : term -> int list
 val successors : term -> int list
 

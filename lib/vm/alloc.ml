@@ -41,29 +41,33 @@ let round_size n =
   if n <= 4096 then (n + 15) land lnot 15
   else (n + 4095) land lnot 4095
 
-(* Allocates [size] bytes; returns the payload address.  Raises a trap
-   when the simulated heap is exhausted. *)
+(* Allocates [size] bytes; returns the payload address, or 0 (NULL, as C
+   malloc does) for a negative size or when the simulated heap is
+   exhausted, leaving the allocator untouched. *)
 let malloc t size =
-  if size < 0 then Report.trap Report.Heap_corruption ~detail:"negative size";
   let rsize = round_size size in
   let payload =
-    match Hashtbl.find_opt t.free_lists rsize with
-    | Some ({ contents = p :: rest } as l) ->
-      l := rest;
-      t.recycles <- t.recycles + 1;
-      p
-    | Some { contents = [] } | None ->
-      let p = t.brk + header_size in
-      t.brk <- t.brk + header_size + rsize;
-      if t.brk >= Layout46.heap_limit then
-        Report.trap Report.Heap_corruption ~detail:"out of simulated heap";
-      p
+    if size < 0 then 0
+    else
+      match Hashtbl.find_opt t.free_lists rsize with
+      | Some ({ contents = p :: rest } as l) ->
+        l := rest;
+        t.recycles <- t.recycles + 1;
+        p
+      | Some { contents = [] } | None ->
+        if t.brk + header_size + rsize >= Layout46.heap_limit then 0
+        else begin
+          t.brk <- t.brk + header_size + rsize;
+          t.brk - rsize
+        end
   in
-  Memory.store t.mem (payload - 16) 8 rsize;
-  Memory.store t.mem (payload - 8) 8 magic_alloc;
-  t.live <- t.live + 1;
-  if t.live > t.peak_live then t.peak_live <- t.live;
-  t.total_allocated <- t.total_allocated + rsize;
+  if payload <> 0 then begin
+    Memory.store t.mem (payload - 16) 8 rsize;
+    Memory.store t.mem (payload - 8) 8 magic_alloc;
+    t.live <- t.live + 1;
+    if t.live > t.peak_live then t.peak_live <- t.live;
+    t.total_allocated <- t.total_allocated + rsize
+  end;
   payload
 
 (* Size of a live block, or None if the header looks corrupt. *)

@@ -26,8 +26,8 @@ val round_size : int -> int
 (** 16-byte granules up to 4 KiB, then page-rounded. *)
 
 val malloc : t -> int -> int
-(** Returns the payload address; traps when the simulated heap is
-    exhausted. *)
+(** Returns the payload address, or 0 (NULL) for a negative size or when
+    the simulated heap is exhausted; a failed call changes nothing. *)
 
 val block_size : t -> int -> int option
 (** Size of a live block, or [None] if the header looks corrupt. *)

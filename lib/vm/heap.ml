@@ -6,10 +6,13 @@
 let malloc (st : State.t) size =
   if Fault.should_oom st.fault then 0  (* injected allocator OOM: NULL *)
   else begin
-    State.tick st (Cost.malloc size);
-    st.heap_allocs <- st.heap_allocs + 1;
     let p = Alloc.malloc st.alloc size in
-    Telemetry.record st.telem Telemetry.Alloc p size;
+    (* an exhausted heap fails like an injected OOM: no cost, no record *)
+    if p <> 0 then begin
+      State.tick st (Cost.malloc size);
+      st.heap_allocs <- st.heap_allocs + 1;
+      Telemetry.record st.telem Telemetry.Alloc p size
+    end;
     p
   end
 

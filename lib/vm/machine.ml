@@ -115,7 +115,8 @@ let run_alloc_family m name (args : int array) : int option =
   | "calloc" ->
     let n = args.(0) * args.(1) in
     let p = m.ctx.Libc.malloc n in
-    Memory.fill st.State.mem ~dst:(State.effective st p) ~len:n 0;
+    if p <> 0 then
+      Memory.fill st.State.mem ~dst:(State.effective st p) ~len:n 0;
     State.tick st (Cost.mem_op n);
     Some p
   | "realloc" ->
@@ -130,11 +131,14 @@ let run_alloc_family m name (args : int array) : int option =
             ~detail:"realloc(): invalid pointer"
       in
       let p = m.ctx.Libc.malloc size in
-      Memory.copy st.State.mem ~src:(State.effective st old)
-        ~dst:(State.effective st p) ~len:(min old_size size);
-      State.tick st (Cost.mem_op (min old_size size));
-      m.ctx.Libc.free old;
-      Some p
+      if p = 0 then Some 0  (* out of memory: the old block survives *)
+      else begin
+        Memory.copy st.State.mem ~src:(State.effective st old)
+          ~dst:(State.effective st p) ~len:(min old_size size);
+        State.tick st (Cost.mem_op (min old_size size));
+        m.ctx.Libc.free old;
+        Some p
+      end
     end
   | _ -> None
 

@@ -254,6 +254,26 @@ let fault_tests =
     faults "glibc invalid free abort"
       "int main() { char *p = (char*)malloc(8); free(p + 4); return 0; }"
       (function Vm.Report.Heap_corruption -> true | _ -> false);
+    Alcotest.test_case "malloc past the heap returns NULL" `Quick (fun () ->
+        (* C malloc: an exhausted heap is a NULL the program can check,
+           under the default allocator, CECSan's and ASan's, on both
+           backends *)
+        let src =
+          "int main() { char *p = (char*)malloc(500000000); \
+           if (!p) return 3; p[0] = 1; return 0; }"
+        in
+        List.iter
+          (fun (san : Sanitizer.Spec.t) ->
+             List.iter
+               (fun backend ->
+                  let r = Sanitizer.Driver.run san ~backend src in
+                  match r.Sanitizer.Driver.outcome with
+                  | Vm.Machine.Exit 3 -> ()
+                  | o ->
+                    Alcotest.failf "%s: expected exit 3, got %a" san.name
+                      Vm.Machine.pp_outcome o)
+               [ Vm.Machine.Interp; Vm.Machine.Jit ])
+          [ base; Cecsan.sanitizer (); Baselines.Asan.sanitizer () ]);
     Alcotest.test_case "exit() builtin" `Quick (fun () ->
         let r = run "int main() { exit(7); return 0; }" in
         match r.Sanitizer.Driver.outcome with
