@@ -156,6 +156,10 @@ let backend =
                  $(b,interp) (default) or $(b,jit).  Verdicts and \
                  ledgers are bit-for-bit identical on both.")
 
+(* A classified one-line error (exit 2) instead of an uncaught
+   exception. *)
+let die fmt = Fmt.kstr (fun m -> Fmt.epr "cecsan_fuzz: %s@." m; exit 2) fmt
+
 let run_cmd n seed jobs smoke tools max_shrink repro_dir write_corpus
     corpus_dir corpus_count guided mutate_only min_corpus telemetry_json
     faults checkpoint resume shard_size max_retries backend =
@@ -213,6 +217,14 @@ let run_cmd n seed jobs smoke tools max_shrink repro_dir write_corpus
     Fmt.epr "--max-retries: expected >= 0@.";
     exit 2
   end;
+  if n < 0 then begin
+    Fmt.epr "-n: expected >= 0@.";
+    exit 2
+  end;
+  if shard_size < 1 then begin
+    Fmt.epr "--shard-size: expected >= 1@.";
+    exit 2
+  end;
   let policy =
     { Harness.Supervise.default_policy with max_retries }
   in
@@ -223,11 +235,14 @@ let run_cmd n seed jobs smoke tools max_shrink repro_dir write_corpus
     else jobs
   in
   let summary =
-    Harness.Pool.with_pool ~jobs (fun p ->
-        let pool = if jobs > 1 then Some p else None in
-        Fuzz.Campaign.run ?pool ~tool_names ~max_shrink
-          ~faults:fault_specs ~policy ?checkpoint ~resume ~shard_size
-          ~backend ~guided ~mutate_only ~seed ~n ())
+    (* Invalid_argument: a --resume checkpoint for another campaign *)
+    try
+      Harness.Pool.with_pool ~jobs (fun p ->
+          let pool = if jobs > 1 then Some p else None in
+          Fuzz.Campaign.run ?pool ~tool_names ~max_shrink
+            ~faults:fault_specs ~policy ?checkpoint ~resume ~shard_size
+            ~backend ~guided ~mutate_only ~seed ~n ())
+    with Invalid_argument m -> die "%s" m
   in
   Fuzz.Campaign.render Format.std_formatter ~jobs summary;
   (match checkpoint with
@@ -265,3 +280,7 @@ let () =
   match Cmd.eval_value ~catch:false cmd with
   | Ok _ -> exit 0
   | Error _ -> exit 2
+  | exception Sys_error m ->
+    (* a --checkpoint/--repro-dir/--corpus-dir that cannot be created
+       or read *)
+    die "%s" m

@@ -7,6 +7,10 @@
    at any job count: Pool.map_results keeps submission order, and
    shrinking of the (rare) failures happens sequentially afterwards.
 
+   One shard loop runs every campaign.  A blind campaign is a guided
+   one with corpus admission switched off: its corpus stays empty, so
+   every shard is a generation shard.
+
    Supervision (this file's robustness layer):
 
    - every per-program task runs under [Harness.Supervise.run]: a task
@@ -14,8 +18,7 @@
      is retried under the deterministic count-based policy and then
      QUARANTINED (one ledger entry) instead of aborting the campaign;
    - the campaign proceeds in shards of [shard_size] programs; after
-     each shard the full campaign state (rows, quarantine, counters,
-     merged telemetry) is written to an atomic checkpoint
+     each shard the campaign [state] is written to an atomic checkpoint
      (temp-file + rename), so a SIGKILL costs at most one shard;
    - [resume:true] restores the checkpoint and continues from the
      first unfinished shard.  Everything the final ledgers derive from
@@ -23,23 +26,9 @@
      produces byte-identical mismatch/quarantine ledgers to an
      uninterrupted one, at any -j.
 
-   Checkpoint schema v1 (line-based, documented in DESIGN.md s.13):
-
-     cecsan-campaign-checkpoint v1
-     seed <hex>
-     n <int>
-     shard_size <int>
-     tools <csv|->
-     faults <csv|->
-     shards_done <int>
-     resumed_shards <int>
-     retries <int>
-     row index=<int> seed=<hex> plan=<cls:far:write:g16|-> failures=<csv|->
-     ...
-     quarantine task=<int> seed=<hex> attempts=<int> class=<s> phase=<s> detail=<%S>
-     ...
-     snapshot <Telemetry.Snapshot.to_json line>
-     end *)
+   The checkpoint is one canonical JSON document (schema
+   [cecsan-campaign-checkpoint/2], DESIGN.md s.13) built by
+   [state_to_value]; an unreadable one is a fresh start. *)
 
 let sp = Printf.sprintf
 
@@ -58,7 +47,7 @@ type shrunk = {
   s_lines : int;
 }
 
-(* One coverage-over-time sample, recorded after each guided shard. *)
+(* One coverage-over-time sample, recorded after each shard. *)
 type cov_row = {
   cr_shard : int;
   cr_phase : string;           (* "gen" or "mutate" *)
@@ -81,7 +70,8 @@ type summary = {
   (* CECSan(-O2) telemetry over the whole grid, merged in submission
      order: identical at any job count *)
   snapshot : Telemetry.Snapshot.t;
-  (* guided-mode state: empty/zero for a blind campaign *)
+  (* guided-mode state: the corpus and bitmap stay empty for a blind
+     campaign *)
   guided : bool;
   mutate_only : bool;
   coverage : Coverage.t;   (* accumulated bitmap, submission order *)
@@ -111,61 +101,45 @@ let fuel_budget_of_specs specs =
     (fun acc s -> match s with Vm.Fault.Fuel b -> Some b | _ -> acc)
     None specs
 
-(* One self-contained job: everything derived from (campaign_seed, i).
-   With fault specs given, program i gets its own injector seeded from
-   its derived seed, threaded into every oracle run; a [Fuel b] spec
-   additionally puts the generator under a fresh [b]-step budget (the
-   compile/verify phases get theirs inside Driver.run, bridged from the
-   injector). *)
-let run_one ~tool_names ~fault_specs ~campaign_seed ?backend i
-  : row * Telemetry.Snapshot.t =
-  let tools = tools_of_names tool_names in
-  let seed = Tape.mix campaign_seed i in
-  let fault =
-    match fault_specs with
-    | [] -> None
-    | specs -> Some (Vm.Fault.of_specs ~seed specs)
-  in
-  let gen_fuel =
-    Option.map
-      (fun b -> Tir.Fuel.make ~phase:"gen" ~budget:b)
-      (fuel_budget_of_specs fault_specs)
-  in
-  let p =
-    Gen.generate ~inject:(inject_of_index i) ?fuel:gen_fuel
-      (Tape.fresh ~seed)
-  in
-  let fs, snap = Oracle.evaluate_full ~tools ?fault ?backend p in
-  ( { index = i; seed; plan = p.Gen.plan;
-      failures = List.map Oracle.failure_name fs },
-    snap )
+(* Creates [dir] and any missing parents. *)
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
 
-(* --- guided jobs ----------------------------------------------------------- *)
+(* --- the per-program job -------------------------------------------------- *)
 
 type phase = Gen_phase | Mut_phase
 
 let phase_name = function Gen_phase -> "gen" | Mut_phase -> "mutate"
 
-(* One guided job's result: the blind row plus everything the
-   sequential admission loop needs. *)
-type gres = {
-  g_row : row;
-  g_snap : Telemetry.Snapshot.t;
-  g_cov : Coverage.t;
-  g_phase : string;            (* "gen" or "mutate:<op>" *)
-  g_tape : int array;          (* normalized (recorded) decision tape *)
+(* One job's result: the row plus everything the sequential admission
+   step needs. *)
+type job = {
+  j_row : row;
+  j_snap : Telemetry.Snapshot.t;
+  j_cov : Coverage.t;
+  j_phase : string;            (* "gen" or "mutate:<op>" *)
+  j_tape : int array;          (* normalized (recorded) decision tape *)
 }
 
-(* The guided counterpart of [run_one].  A generation-phase job is
-   byte-identical to the blind job at the same index (same derived
-   seed, same parity-planted bug); a mutation-phase job derives its
-   whole schedule -- base pick, partner pick, operator, operator
-   randomness -- from the same per-program seed over the corpus
-   snapshot taken at shard start, so it is a pure function of
-   (campaign_seed, i, corpus-at-shard-start) and independent of pool
-   interleaving.  [Mut_phase] requires a nonempty corpus. *)
-let run_one_guided ~tool_names ~fault_specs ~campaign_seed ?backend
-    ~phase ~corpus i : gres =
+(* One self-contained job.  A generation-phase job is everything
+   derived from (campaign_seed, i): the derived seed and the
+   parity-planted bug.  A mutation-phase job derives its whole schedule
+   -- base pick, partner pick, operator, operator randomness -- from
+   the same per-program seed over the corpus snapshot taken at shard
+   start, so it is a pure function of (campaign_seed, i,
+   corpus-at-shard-start) and independent of pool interleaving.
+   [Mut_phase] requires a nonempty corpus.
+
+   With fault specs given, program i gets its own injector seeded from
+   its derived seed, threaded into every oracle run; a [Fuel b] spec
+   additionally puts the generator under a fresh [b]-step budget (the
+   compile/verify phases get theirs inside Driver.run, bridged from the
+   injector). *)
+let run_job ~tool_names ~fault_specs ~campaign_seed ?backend ~phase ~corpus
+    i : job =
   let tools = tools_of_names tool_names in
   let seed = Tape.mix campaign_seed i in
   let fault =
@@ -179,7 +153,7 @@ let run_one_guided ~tool_names ~fault_specs ~campaign_seed ?backend
       (fuel_budget_of_specs fault_specs)
   in
   let inject = inject_of_index i in
-  let g_phase, p =
+  let j_phase, p =
     match phase with
     | Gen_phase ->
       "gen", Gen.generate ~inject ?fuel:gen_fuel (Tape.fresh ~seed)
@@ -196,12 +170,11 @@ let run_one_guided ~tool_names ~fault_specs ~campaign_seed ?backend
       ( sp "mutate:%s" (Mutate.op_name op),
         Gen.generate ~inject ?fuel:gen_fuel (Tape.replay tape) )
   in
-  (* the snapshot merged into the campaign stays the CECSan(-O2) one,
-     exactly as in blind mode *)
+  (* the snapshot merged into the campaign is the CECSan(-O2) one *)
   let fs, snap, cov = Oracle.evaluate_cov ~tools ?fault ?backend p in
-  { g_row = { index = i; seed; plan = p.Gen.plan;
+  { j_row = { index = i; seed; plan = p.Gen.plan;
               failures = List.map Oracle.failure_name fs };
-    g_snap = snap; g_cov = cov; g_phase; g_tape = p.Gen.tape }
+    j_snap = snap; j_cov = cov; j_phase; j_tape = p.Gen.tape }
 
 (* Shrinks a failing case: the minimized tape must regenerate a program
    that still exhibits every one of the original failure labels.  The
@@ -241,238 +214,170 @@ let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.equal (String.sub s 0 (String.length prefix)) prefix
 
-(* --- checkpoint serialization (schema v1) -------------------------------- *)
+(* --- campaign state and its checkpoint ------------------------------------ *)
 
-let checkpoint_file = "campaign.v1.ckpt"
-let checkpoint_magic = "cecsan-campaign-checkpoint v1"
+let checkpoint_file = "campaign.ckpt"
+let checkpoint_schema = "cecsan-campaign-checkpoint/2"
 
-(* Mid-campaign state: everything the final summary and ledgers derive
-   from.  Rows and quarantine entries are kept in submission order. *)
-type ckpt = {
-  ck_seed : int;
-  ck_n : int;
-  ck_shard_size : int;
-  ck_tools : string list;
-  ck_faults : string list;           (* Fault.spec_to_string forms *)
-  ck_shards_done : int;
-  ck_resumed_shards : int;
-  ck_retries : int;
-  ck_rows : row list;
-  ck_quarantine : Harness.Supervise.entry list;
-  ck_snapshot : Telemetry.Snapshot.t;
-  (* guided extension (schema-v1-compatible: the extra lines appear
-     only in guided checkpoints, and a blind checkpoint's bytes are
-     unchanged) *)
-  ck_guided : bool;
-  ck_mutate_only : bool;
-  ck_coverage : Coverage.t;
-  ck_corpus : Corpus.t;  (* embedded: checkpoint + corpus commit atomically *)
-  ck_cov_rows : cov_row list;
-  ck_gen_programs : int;
-  ck_mut_programs : int;
-  ck_gen_admitted : int;
-  ck_mut_admitted : int;
+(* What a campaign is: a checkpoint resumes only the same campaign. *)
+type config = {
+  c_seed : int;
+  c_n : int;
+  c_shard_size : int;
+  c_tools : string list;
+  c_faults : string list;            (* Fault.spec_to_string forms *)
+  c_guided : bool;
+  c_mutate_only : bool;
 }
 
-let csv_or_dash = function [] -> "-" | xs -> String.concat "," xs
-let csv_of_dash = function "-" -> [] | s -> String.split_on_char ',' s
+(* Mid-campaign state: everything the summary and ledgers derive from
+   that cannot be recomputed.  The accumulated bitmap and the admission
+   counts derive from the corpus, so they are not stored.  Rows,
+   quarantine entries and coverage samples are kept newest first. *)
+type state = {
+  st_config : config;
+  st_shards_done : int;
+  st_resumed_shards : int;
+  st_retries : int;
+  st_rows : row list;
+  st_quarantine : Harness.Supervise.entry list;
+  st_snapshot : Telemetry.Snapshot.t;
+  st_corpus : Corpus.t;
+  st_cov_rows : cov_row list;
+  st_gen_programs : int;
+  st_mut_programs : int;
+}
 
-let plan_to_field = function
-  | None -> "-"
+let fresh_state config =
+  { st_config = config; st_shards_done = 0; st_resumed_shards = 0;
+    st_retries = 0; st_rows = []; st_quarantine = [];
+    st_snapshot = Telemetry.Snapshot.empty; st_corpus = Corpus.empty;
+    st_cov_rows = []; st_gen_programs = 0; st_mut_programs = 0 }
+
+let plan_to_value = function
+  | None -> Json.Null
   | Some (p : Gen.plan) ->
-    sp "%s:%d:%d:%d" (Gen.class_name p.Gen.cls)
-      (Bool.to_int p.Gen.far) (Bool.to_int p.Gen.write)
-      (Bool.to_int p.Gen.granule16)
+    Json.Obj
+      [ ("class", Json.Str (Gen.class_name p.Gen.cls));
+        ("far", Json.Bool p.Gen.far);
+        ("write", Json.Bool p.Gen.write);
+        ("granule16", Json.Bool p.Gen.granule16) ]
 
-let plan_of_field = function
-  | "-" -> Ok None
-  | s ->
-    (match String.split_on_char ':' s with
-     | [ cls; far; write; g16 ] ->
-       (match Gen.class_of_name cls, far, write, g16 with
-        | Some cls, ("0" | "1"), ("0" | "1"), ("0" | "1") ->
-          Ok (Some { Gen.cls; far = String.equal far "1";
-                     write = String.equal write "1";
-                     granule16 = String.equal g16 "1" })
-        | _ -> Error (sp "bad plan field %S" s))
-     | _ -> Error (sp "bad plan field %S" s))
+let row_to_value r =
+  Json.Obj
+    [ ("index", Json.Int r.index);
+      ("seed", Json.Int r.seed);
+      ("plan", plan_to_value r.plan);
+      ("failures", Json.List (List.map (fun f -> Json.Str f) r.failures)) ]
 
-let row_to_line r =
-  sp "row index=%d seed=%x plan=%s failures=%s" r.index r.seed
-    (plan_to_field r.plan) (csv_or_dash r.failures)
+let cov_row_to_value c =
+  Json.Obj
+    [ ("shard", Json.Int c.cr_shard);
+      ("phase", Json.Str c.cr_phase);
+      ("bits", Json.Int c.cr_bits);
+      ("sites", Json.Int c.cr_sites);
+      ("corpus", Json.Int c.cr_corpus) ]
 
-let cov_row_to_line c =
-  sp "covrow shard=%d phase=%s bits=%d sites=%d corpus=%d" c.cr_shard
-    c.cr_phase c.cr_bits c.cr_sites c.cr_corpus
+let state_to_value st =
+  let c = st.st_config in
+  let strs xs = Json.List (List.map (fun s -> Json.Str s) xs) in
+  (* the newest-first lists print in submission order *)
+  let list f xs = Json.List (List.rev_map f xs) in
+  Json.Obj
+    [ ("schema", Json.Str checkpoint_schema);
+      ("seed", Json.Int c.c_seed);
+      ("n", Json.Int c.c_n);
+      ("shard_size", Json.Int c.c_shard_size);
+      ("tools", strs c.c_tools);
+      ("faults", strs c.c_faults);
+      ("guided", Json.Bool c.c_guided);
+      ("mutate_only", Json.Bool c.c_mutate_only);
+      ("shards_done", Json.Int st.st_shards_done);
+      ("resumed_shards", Json.Int st.st_resumed_shards);
+      ("retries", Json.Int st.st_retries);
+      ("gen_programs", Json.Int st.st_gen_programs);
+      ("mut_programs", Json.Int st.st_mut_programs);
+      ("rows", list row_to_value st.st_rows);
+      ("quarantine", list Harness.Supervise.entry_to_value st.st_quarantine);
+      ("cov_rows", list cov_row_to_value st.st_cov_rows);
+      ("corpus", Corpus.to_value st.st_corpus);
+      ("snapshot", Telemetry.Snapshot.to_value st.st_snapshot) ]
 
-let cov_row_of_line line : cov_row option =
+(* Inverse of [state_to_value]; [None] on any other schema or shape. *)
+let state_of_value v : state option =
+  let exception Bad in
+  let some = function Some x -> x | None -> raise Bad in
+  let field k = some (Json.member k v) in
+  let int k = match field k with Json.Int n -> n | _ -> raise Bad in
+  let bool k = match field k with Json.Bool b -> b | _ -> raise Bad in
+  let str = function Json.Str s -> s | _ -> raise Bad in
+  let list k f =
+    match field k with Json.List xs -> List.map f xs | _ -> raise Bad
+  in
+  let plan = function
+    | Json.Null -> None
+    | Json.Obj
+        [ ("class", Json.Str cls); ("far", Json.Bool far);
+          ("write", Json.Bool write); ("granule16", Json.Bool granule16) ] ->
+      Some { Gen.cls = some (Gen.class_of_name cls); far; write; granule16 }
+    | _ -> raise Bad
+  in
+  let row = function
+    | Json.Obj
+        [ ("index", Json.Int index); ("seed", Json.Int seed); ("plan", p);
+          ("failures", Json.List fs) ] ->
+      { index; seed; plan = plan p; failures = List.map str fs }
+    | _ -> raise Bad
+  in
+  let cov_row = function
+    | Json.Obj
+        [ ("shard", Json.Int cr_shard); ("phase", Json.Str cr_phase);
+          ("bits", Json.Int cr_bits); ("sites", Json.Int cr_sites);
+          ("corpus", Json.Int cr_corpus) ] ->
+      { cr_shard; cr_phase; cr_bits; cr_sites; cr_corpus }
+    | _ -> raise Bad
+  in
   match
-    Scanf.sscanf line "covrow shard=%d phase=%s bits=%d sites=%d corpus=%d"
-      (fun s p b st c -> (s, p, b, st, c))
+    if field "schema" <> Json.Str checkpoint_schema then raise Bad;
+    let st_config =
+      { c_seed = int "seed"; c_n = int "n"; c_shard_size = int "shard_size";
+        c_tools = list "tools" str; c_faults = list "faults" str;
+        c_guided = bool "guided"; c_mutate_only = bool "mutate_only" }
+    in
+    { st_config;
+      st_shards_done = int "shards_done";
+      st_resumed_shards = int "resumed_shards";
+      st_retries = int "retries";
+      st_rows = List.rev (list "rows" row);
+      st_quarantine =
+        List.rev
+          (list "quarantine" (fun q ->
+               some (Harness.Supervise.entry_of_value q)));
+      st_snapshot = some (Telemetry.Snapshot.of_value (field "snapshot"));
+      st_corpus = some (Corpus.of_value (field "corpus"));
+      st_cov_rows = List.rev (list "cov_rows" cov_row);
+      st_gen_programs = int "gen_programs";
+      st_mut_programs = int "mut_programs" }
   with
-  | cr_shard, cr_phase, cr_bits, cr_sites, cr_corpus ->
-    Some { cr_shard; cr_phase; cr_bits; cr_sites; cr_corpus }
-  | exception _ -> None
+  | st -> Some st
+  | exception Bad -> None
 
-let row_of_line line : row option =
-  match
-    Scanf.sscanf line "row index=%d seed=%x plan=%s failures=%s"
-      (fun index seed plan failures -> (index, seed, plan, failures))
-  with
-  | index, seed, plan, failures ->
-    (match plan_of_field plan with
-     | Ok plan -> Some { index; seed; plan; failures = csv_of_dash failures }
-     | Error _ -> None)
-  | exception _ -> None
+(* Jsonio's tmp+rename guarantees a reader never observes a torn
+   checkpoint. *)
+let write_checkpoint ~dir st =
+  Harness.Jsonio.write_json
+    ~path:(Filename.concat dir checkpoint_file)
+    (state_to_value st)
 
-let write_checkpoint ~dir (ck : ckpt) =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let path = Filename.concat dir checkpoint_file in
-  (* Jsonio's tmp+rename guarantees a reader never observes a torn
-     checkpoint *)
-  Harness.Jsonio.with_file ~path (fun oc ->
-      let line fmt =
-        Printf.ksprintf (fun s -> output_string oc (s ^ "\n")) fmt
-      in
-      line "%s" checkpoint_magic;
-      line "seed %x" ck.ck_seed;
-      line "n %d" ck.ck_n;
-      line "shard_size %d" ck.ck_shard_size;
-      line "tools %s" (csv_or_dash ck.ck_tools);
-      line "faults %s" (csv_or_dash ck.ck_faults);
-      line "shards_done %d" ck.ck_shards_done;
-      line "resumed_shards %d" ck.ck_resumed_shards;
-      line "retries %d" ck.ck_retries;
-      if ck.ck_guided then begin
-        line "guided mutate_only=%d gen=%d mut=%d gen_adm=%d mut_adm=%d"
-          (Bool.to_int ck.ck_mutate_only) ck.ck_gen_programs
-          ck.ck_mut_programs ck.ck_gen_admitted ck.ck_mut_admitted;
-        line "bitmap %s" (Coverage.to_string ck.ck_coverage);
-        List.iter (fun c -> line "%s" (cov_row_to_line c)) ck.ck_cov_rows;
-        List.iter
-          (fun e -> line "corpus %s" (Corpus.entry_to_line e))
-          (Corpus.entries ck.ck_corpus)
-      end;
-      List.iter (fun r -> line "%s" (row_to_line r)) ck.ck_rows;
-      List.iter
-        (fun e -> line "quarantine %s" (Harness.Supervise.entry_to_line e))
-        ck.ck_quarantine;
-      line "snapshot %s" (Telemetry.Snapshot.to_json ck.ck_snapshot);
-      line "end")
-
-(* [None] on a missing or unparseable file (a fresh start is always a
-   correct recovery); the caller validates configuration agreement. *)
-let read_checkpoint ~dir : ckpt option =
+(* [None] on a missing or unreadable file: a fresh start is always a
+   correct recovery.  The caller validates configuration agreement. *)
+let read_checkpoint ~dir : state option =
   let path = Filename.concat dir checkpoint_file in
   if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do lines := input_line ic :: !lines done
-     with End_of_file -> ());
-    close_in ic;
-    let lines = List.rev !lines in
-    let exception Bad in
-    let scan1 line fmt =
-      match Scanf.sscanf line fmt (fun v -> v) with
-      | v -> v
-      | exception _ -> raise Bad
-    in
-    match lines with
-    | magic :: seed_l :: n_l :: ss_l :: tools_l :: faults_l :: sd_l
-      :: rs_l :: rt_l :: rest ->
-      (try
-         if not (String.equal magic checkpoint_magic) then raise Bad;
-         let ck_seed = scan1 seed_l "seed %x" in
-         let ck_n = scan1 n_l "n %d" in
-         let ck_shard_size = scan1 ss_l "shard_size %d" in
-         let ck_tools = csv_of_dash (scan1 tools_l "tools %s") in
-         let ck_faults = csv_of_dash (scan1 faults_l "faults %s") in
-         let ck_shards_done = scan1 sd_l "shards_done %d" in
-         let ck_resumed_shards = scan1 rs_l "resumed_shards %d" in
-         let ck_retries = scan1 rt_l "retries %d" in
-         let rows = ref [] and quarantine = ref [] in
-         let snapshot = ref None in
-         let guided = ref None in
-         let bitmap = ref Coverage.empty in
-         let cov_rows = ref [] in
-         let corpus_entries = ref [] in
-         let finished = ref false in
-         List.iter
-           (fun line ->
-              if !finished then ()
-              else if String.equal line "end" then finished := true
-              else if has_prefix ~prefix:"row " line then
-                match row_of_line line with
-                | Some r -> rows := r :: !rows
-                | None -> raise Bad
-              else if has_prefix ~prefix:"guided " line then
-                (match
-                   Scanf.sscanf line
-                     "guided mutate_only=%d gen=%d mut=%d gen_adm=%d \
-                      mut_adm=%d"
-                     (fun m g mu ga ma -> (m, g, mu, ga, ma))
-                 with
-                 | m, g, mu, ga, ma -> guided := Some (m = 1, g, mu, ga, ma)
-                 | exception _ -> raise Bad)
-              else if has_prefix ~prefix:"bitmap " line then
-                (match
-                   Coverage.of_string
-                     (String.sub line 7 (String.length line - 7))
-                 with
-                 | Some c -> bitmap := c
-                 | None -> raise Bad)
-              else if has_prefix ~prefix:"covrow " line then
-                (match cov_row_of_line line with
-                 | Some c -> cov_rows := c :: !cov_rows
-                 | None -> raise Bad)
-              else if has_prefix ~prefix:"corpus " line then
-                (match
-                   Corpus.entry_of_line
-                     (String.sub line 7 (String.length line - 7))
-                 with
-                 | Some e -> corpus_entries := e :: !corpus_entries
-                 | None -> raise Bad)
-              else if has_prefix ~prefix:"quarantine " line then
-                match
-                  Harness.Supervise.entry_of_line
-                    (String.sub line 11 (String.length line - 11))
-                with
-                | Some e -> quarantine := e :: !quarantine
-                | None -> raise Bad
-              else if has_prefix ~prefix:"snapshot " line then
-                match
-                  Telemetry.Snapshot.of_json
-                    (String.sub line 9 (String.length line - 9))
-                with
-                | Some s -> snapshot := Some s
-                | None -> raise Bad
-              else raise Bad)
-           rest;
-         if not !finished then raise Bad;
-         match !snapshot with
-         | None -> None
-         | Some ck_snapshot ->
-           let ck_guided, ck_mutate_only, ck_gen_programs,
-               ck_mut_programs, ck_gen_admitted, ck_mut_admitted =
-             match !guided with
-             | None -> (false, false, 0, 0, 0, 0)
-             | Some (m, g, mu, ga, ma) -> (true, m, g, mu, ga, ma)
-           in
-           Some
-             { ck_seed; ck_n; ck_shard_size; ck_tools; ck_faults;
-               ck_shards_done; ck_resumed_shards; ck_retries;
-               ck_rows = List.rev !rows;
-               ck_quarantine = List.rev !quarantine; ck_snapshot;
-               ck_guided; ck_mutate_only; ck_coverage = !bitmap;
-               ck_corpus = Corpus.of_entries (List.rev !corpus_entries);
-               ck_cov_rows = List.rev !cov_rows;
-               ck_gen_programs; ck_mut_programs; ck_gen_admitted;
-               ck_mut_admitted }
-       with Bad -> None)
-    | _ -> None
-  end
+  else
+    match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok v -> state_of_value v
+    | Error _ -> None
 
 (* --- the campaign driver -------------------------------------------------- *)
 
@@ -482,272 +387,46 @@ let fuel_exhausted_count quarantine =
        (fun e -> String.equal e.Harness.Supervise.q_class "fuel")
        quarantine)
 
-let run ?pool ?(tool_names = []) ?(max_shrink = 5) ?(faults = [])
-    ?(policy = Harness.Supervise.default_policy) ?checkpoint
-    ?(resume = false) ?(shard_size = 256) ?stop_after_shards ?backend
-    ?(guided = false) ?(mutate_only = false) ~seed ~n () : summary =
-  let shard_size = max 1 shard_size in
-  let mutate_only = guided && mutate_only in
-  let fault_strings = List.map Vm.Fault.spec_to_string faults in
-  (* restore: a missing/corrupt checkpoint is a fresh start; a
-     checkpoint for a DIFFERENT campaign is a caller error.  The guided
-     corpus is embedded in the checkpoint, so corpus and campaign state
-     restore from one atomic file. *)
-  let restored =
-    if not resume then None
-    else
-      match checkpoint with
-      | None -> invalid_arg "Campaign.run: resume requires a checkpoint dir"
-      | Some dir ->
-        (match read_checkpoint ~dir with
-         | None -> None
-         | Some ck ->
-           if
-             ck.ck_seed <> seed || ck.ck_n <> n
-             || ck.ck_shard_size <> shard_size
-             || ck.ck_tools <> tool_names
-             || ck.ck_faults <> fault_strings
-             || ck.ck_guided <> guided
-             || ck.ck_mutate_only <> mutate_only
-           then
-             invalid_arg
-               (sp
-                  "Campaign.run: checkpoint in %s is for a different \
-                   campaign (seed/n/shard_size/tools/faults/guided \
-                   mismatch)"
-                  dir)
-           else Some ck)
-  in
-  let rows_rev = ref [] in
-  let quarantine_rev = ref [] in
-  let snapshot = ref Telemetry.Snapshot.empty in
-  let retries = ref 0 in
-  let shards_done = ref 0 in
-  let resumed_shards = ref 0 in
-  let coverage = ref Coverage.empty in
-  let corpus = ref Corpus.empty in
-  let cov_rows_rev = ref [] in
-  let gen_programs = ref 0 and mut_programs = ref 0 in
-  let gen_admitted = ref 0 and mut_admitted = ref 0 in
-  (match restored with
-   | None -> ()
-   | Some ck ->
-     rows_rev := List.rev ck.ck_rows;
-     quarantine_rev := List.rev ck.ck_quarantine;
-     snapshot := ck.ck_snapshot;
-     retries := ck.ck_retries;
-     shards_done := ck.ck_shards_done;
-     coverage := ck.ck_coverage;
-     corpus := ck.ck_corpus;
-     cov_rows_rev := List.rev ck.ck_cov_rows;
-     gen_programs := ck.ck_gen_programs;
-     mut_programs := ck.ck_mut_programs;
-     gen_admitted := ck.ck_gen_admitted;
-     mut_admitted := ck.ck_mut_admitted;
-     (* every shard we did NOT recompute this process counts as resumed *)
-     resumed_shards := ck.ck_resumed_shards + ck.ck_shards_done);
-  let total_shards = (n + shard_size - 1) / shard_size in
-  let save () =
-    match checkpoint with
-    | None -> ()
-    | Some dir ->
-      (* the standalone corpus file is a derived artifact (for CI cmp
-         and external consumers); resume reads the embedded copy, so a
-         crash between the two atomic writes cannot desynchronize the
-         restored state *)
-      if guided then ignore (Corpus.save ~dir !corpus);
-      write_checkpoint ~dir
-        { ck_seed = seed; ck_n = n; ck_shard_size = shard_size;
-          ck_tools = tool_names; ck_faults = fault_strings;
-          ck_shards_done = !shards_done;
-          ck_resumed_shards = !resumed_shards; ck_retries = !retries;
-          ck_rows = List.rev !rows_rev;
-          ck_quarantine = List.rev !quarantine_rev;
-          ck_snapshot = !snapshot;
-          ck_guided = guided; ck_mutate_only = mutate_only;
-          ck_coverage = !coverage; ck_corpus = !corpus;
-          ck_cov_rows = List.rev !cov_rows_rev;
-          ck_gen_programs = !gen_programs;
-          ck_mut_programs = !mut_programs;
-          ck_gen_admitted = !gen_admitted;
-          ck_mut_admitted = !mut_admitted }
-  in
-  let process_shard sidx =
-    let lo = sidx * shard_size in
-    let hi = min n (lo + shard_size) in
-    let indices = List.init (hi - lo) (fun k -> lo + k) in
-    let outcomes =
-      Harness.Pool.maybe_map_results pool
-        (fun i ->
-           Harness.Supervise.run ~policy ~task:i ~seed:(Tape.mix seed i)
-             (fun ~attempt:_ ->
-                run_one ~tool_names ~fault_specs:faults ~campaign_seed:seed
-                  ?backend i))
-        indices
+(* Folds one program's supervised outcome into the state, in submission
+   order.  Admission is the only step a blind campaign skips. *)
+let absorb ~phase st i outcome =
+  match outcome with
+  | Ok { Harness.Supervise.result = Ok j; retries } ->
+    let corpus =
+      if st.st_config.c_guided then
+        fst
+          (Corpus.admit st.st_corpus ~seed:j.j_row.seed ~phase:j.j_phase
+             ~tape:j.j_tape ~cov:j.j_cov)
+      else st.st_corpus
     in
-    List.iter2
-      (fun i outcome ->
-         match outcome with
-         | Ok { Harness.Supervise.result = Ok (row, snap); retries = r } ->
-           rows_rev := row :: !rows_rev;
-           snapshot := Telemetry.Snapshot.merge !snapshot snap;
-           retries := !retries + r
-         | Ok { result = Error entry; retries = r } ->
-           quarantine_rev := entry :: !quarantine_rev;
-           retries := !retries + r
-         | Error e ->
-           (* escaped the supervisor itself (should not happen); treat
-              it as a zero-retry quarantine rather than dying *)
-           let cls, phase = Harness.Supervise.classify e in
-           quarantine_rev :=
-             { Harness.Supervise.q_task = i; q_seed = Tape.mix seed i;
-               q_class = cls; q_phase = phase; q_attempts = 1;
-               q_detail = Printexc.to_string e }
-             :: !quarantine_rev)
-      indices outcomes;
-    incr shards_done;
-    save ()
-  in
-  (* Guided shards alternate generation (even) and mutation (odd);
-     mutation needs a nonempty corpus to draw from, so early shards
-     fall back to generation, and [mutate_only] makes every shard after
-     the first admission a mutation shard.  The corpus snapshot is
-     taken once at shard start, so every job in the shard is a pure
-     function of (seed, index, snapshot) regardless of -j; admission
-     and accounting happen sequentially in submission order. *)
-  let process_shard_guided sidx =
-    let lo = sidx * shard_size in
-    let hi = min n (lo + shard_size) in
-    let indices = List.init (hi - lo) (fun k -> lo + k) in
-    let corpus_snapshot = !corpus in
-    let phase =
-      if Corpus.size corpus_snapshot = 0 then Gen_phase
-      else if mutate_only then Mut_phase
-      else if sidx land 1 = 0 then Gen_phase
-      else Mut_phase
+    { st with
+      st_rows = j.j_row :: st.st_rows;
+      st_snapshot = Telemetry.Snapshot.merge st.st_snapshot j.j_snap;
+      st_retries = st.st_retries + retries;
+      st_corpus = corpus;
+      st_gen_programs =
+        st.st_gen_programs + Bool.to_int (phase = Gen_phase);
+      st_mut_programs =
+        st.st_mut_programs + Bool.to_int (phase = Mut_phase) }
+  | Ok { result = Error entry; retries } ->
+    { st with
+      st_quarantine = entry :: st.st_quarantine;
+      st_retries = st.st_retries + retries }
+  | Error e ->
+    (* escaped the supervisor itself (should not happen); treat it as
+       a zero-retry quarantine rather than dying *)
+    let cls, q_phase = Harness.Supervise.classify e in
+    let entry =
+      { Harness.Supervise.q_task = i;
+        q_seed = Tape.mix st.st_config.c_seed i; q_class = cls; q_phase;
+        q_attempts = 1; q_detail = Printexc.to_string e }
     in
-    let outcomes =
-      Harness.Pool.maybe_map_results pool
-        (fun i ->
-           Harness.Supervise.run ~policy ~task:i ~seed:(Tape.mix seed i)
-             (fun ~attempt:_ ->
-                run_one_guided ~tool_names ~fault_specs:faults
-                  ~campaign_seed:seed ?backend ~phase
-                  ~corpus:corpus_snapshot i))
-        indices
-    in
-    List.iter2
-      (fun i outcome ->
-         match outcome with
-         | Ok { Harness.Supervise.result = Ok g; retries = r } ->
-           rows_rev := g.g_row :: !rows_rev;
-           snapshot := Telemetry.Snapshot.merge !snapshot g.g_snap;
-           retries := !retries + r;
-           coverage := Coverage.union !coverage g.g_cov;
-           (match phase with
-            | Gen_phase -> incr gen_programs
-            | Mut_phase -> incr mut_programs);
-           let corpus', admitted =
-             Corpus.admit !corpus ~seed:g.g_row.seed ~phase:g.g_phase
-               ~tape:g.g_tape ~cov:g.g_cov
-           in
-           corpus := corpus';
-           if admitted then
-             (match phase with
-              | Gen_phase -> incr gen_admitted
-              | Mut_phase -> incr mut_admitted)
-         | Ok { result = Error entry; retries = r } ->
-           quarantine_rev := entry :: !quarantine_rev;
-           retries := !retries + r
-         | Error e ->
-           let cls, phase' = Harness.Supervise.classify e in
-           quarantine_rev :=
-             { Harness.Supervise.q_task = i; q_seed = Tape.mix seed i;
-               q_class = cls; q_phase = phase'; q_attempts = 1;
-               q_detail = Printexc.to_string e }
-             :: !quarantine_rev)
-      indices outcomes;
-    cov_rows_rev :=
-      { cr_shard = sidx; cr_phase = phase_name phase;
-        cr_bits = Coverage.cardinal !coverage;
-        cr_sites = Coverage.sites !coverage;
-        cr_corpus = Corpus.size !corpus }
-      :: !cov_rows_rev;
-    incr shards_done;
-    save ()
-  in
-  let process_shard = if guided then process_shard_guided else process_shard in
-  let last_shard =
-    match stop_after_shards with
-    | None -> total_shards
-    | Some k -> min total_shards (!shards_done + max 0 k)
-  in
-  while !shards_done < last_shard do
-    process_shard !shards_done
-  done;
-  let rows = List.rev !rows_rev in
-  (* shrink only once every shard is in (a partial [stop_after_shards]
-     run is checkpoint fodder, not a report); failing rows are
-     regenerated from their seeds, so a resumed campaign shrinks
-     exactly what an uninterrupted one would *)
-  let shrunk =
-    (* guided rows from mutation shards are not regenerable from their
-       seeds alone (the tape came from the corpus), so guided
-       campaigns report failures through the ledger unshrunk *)
-    if guided || !shards_done < total_shards then []
-    else begin
-      let failing = List.filter (fun r -> r.failures <> []) rows in
-      let failing =
-        List.filteri (fun i _ -> i < max_shrink) failing
-      in
-      List.filter_map
-        (fun r ->
-           let inject = inject_of_index r.index in
-           let task () =
-             let fault =
-               match faults with
-               | [] -> None
-               | specs -> Some (Vm.Fault.of_specs ~seed:r.seed specs)
-             in
-             let fuel =
-               Option.map
-                 (fun b -> Tir.Fuel.make ~phase:"shrink" ~budget:b)
-                 (fuel_budget_of_specs faults)
-             in
-             let p =
-               Gen.generate ~inject (Tape.fresh ~seed:r.seed)
-             in
-             let fs = Oracle.evaluate ~tools:(tools_of_names tool_names)
-                 ?fault ?backend p in
-             match
-               shrink_failure ~tool_names ?fault ?fuel ?backend ~inject p fs
-             with
-             | Some s ->
-               Some { s with s_row = { s.s_row with index = r.index;
-                                       seed = r.seed } }
-             | None ->
-               (* non-reproducible from its own tape: report unshrunk *)
-               Some { s_row = r; s_failures = fs; s_src = p.Gen.src;
-                      s_tape = p.Gen.tape;
-                      s_lines = Gen.line_count p.Gen.src }
-           in
-           match
-             Harness.Supervise.run ~policy ~task:r.index ~seed:r.seed
-               (fun ~attempt:_ -> task ())
-           with
-           | { Harness.Supervise.result = Ok sh; retries = r' } ->
-             retries := !retries + r';
-             sh
-           | { result = Error entry; retries = r' } ->
-             retries := !retries + r';
-             quarantine_rev := entry :: !quarantine_rev;
-             None)
-        failing
-    end
-  in
-  (* shrink-phase quarantines were pushed onto the same ledger, after
-     the campaign's own entries *)
-  let quarantine = List.rev !quarantine_rev in
+    { st with st_quarantine = entry :: st.st_quarantine }
+
+let summary_of_state ~faults ~shrunk st : summary =
+  let c = st.st_config in
+  let rows = List.rev st.st_rows in
+  let quarantine = List.rev st.st_quarantine in
   let fuel_exhausted = fuel_exhausted_count quarantine in
   let snapshot =
     (* supervise counters ride the snapshot only when nonzero, so a
@@ -757,35 +436,41 @@ let run ?pool ?(tool_names = []) ?(max_shrink = 5) ?(faults = [])
         (fun (_, v) -> v > 0)
         [ "supervise_fuel_exhausted", fuel_exhausted;
           "supervise_quarantined", List.length quarantine;
-          "supervise_resumed_shards", !resumed_shards;
-          "supervise_retries", !retries ]
+          "supervise_resumed_shards", st.st_resumed_shards;
+          "supervise_retries", st.st_retries ]
     in
-    if extra = [] then !snapshot
+    if extra = [] then st.st_snapshot
     else
-      Telemetry.Snapshot.merge !snapshot
+      Telemetry.Snapshot.merge st.st_snapshot
         { Telemetry.Snapshot.empty with counters = extra }
   in
+  let admitted pred =
+    List.length
+      (List.filter
+         (fun e -> pred e.Corpus.e_phase)
+         (Corpus.entries st.st_corpus))
+  in
   {
-    campaign_seed = seed;
-    n;
-    tool_names;
+    campaign_seed = c.c_seed;
+    n = c.c_n;
+    tool_names = c.c_tools;
     fault_specs = faults;
     rows;
     shrunk;
     quarantine;
-    retries = !retries;
+    retries = st.st_retries;
     fuel_exhausted;
-    resumed_shards = !resumed_shards;
+    resumed_shards = st.st_resumed_shards;
     snapshot;
-    guided;
-    mutate_only;
-    coverage = !coverage;
-    corpus = !corpus;
-    cov_rows = List.rev !cov_rows_rev;
-    gen_programs = !gen_programs;
-    mut_programs = !mut_programs;
-    gen_admitted = !gen_admitted;
-    mut_admitted = !mut_admitted;
+    guided = c.c_guided;
+    mutate_only = c.c_mutate_only;
+    coverage = Corpus.accumulated st.st_corpus;
+    corpus = st.st_corpus;
+    cov_rows = List.rev st.st_cov_rows;
+    gen_programs = st.st_gen_programs;
+    mut_programs = st.st_mut_programs;
+    gen_admitted = admitted (String.equal "gen");
+    mut_admitted = admitted (has_prefix ~prefix:"mutate:");
     clean = List.length (List.filter (fun r -> r.plan = None) rows);
     buggy = List.length (List.filter (fun r -> r.plan <> None) rows);
     false_positives = count_kind rows (has_prefix ~prefix:"false-positive");
@@ -795,6 +480,149 @@ let run ?pool ?(tool_names = []) ?(max_shrink = 5) ?(faults = [])
     misclassified = count_kind rows (has_prefix ~prefix:"misclassified");
     gen_invalid = count_kind rows (has_prefix ~prefix:"gen-invalid");
   }
+
+let run ?pool ?(tool_names = []) ?(max_shrink = 5) ?(faults = [])
+    ?(policy = Harness.Supervise.default_policy) ?checkpoint
+    ?(resume = false) ?(shard_size = 256) ?stop_after_shards ?backend
+    ?(guided = false) ?(mutate_only = false) ~seed ~n () : summary =
+  if shard_size < 1 then invalid_arg "Campaign.run: shard_size < 1";
+  let config =
+    { c_seed = seed; c_n = n; c_shard_size = shard_size;
+      c_tools = tool_names;
+      c_faults = List.map Vm.Fault.spec_to_string faults;
+      c_guided = guided; c_mutate_only = guided && mutate_only }
+  in
+  Option.iter mkdir_p checkpoint;
+  (* restore: a missing/corrupt checkpoint is a fresh start; a
+     checkpoint for a DIFFERENT campaign is a caller error.  The guided
+     corpus is part of the state, so corpus and campaign restore from
+     one atomic file. *)
+  let st =
+    match checkpoint, resume with
+    | _, false -> fresh_state config
+    | None, true ->
+      invalid_arg "Campaign.run: resume requires a checkpoint dir"
+    | Some dir, true ->
+      (match read_checkpoint ~dir with
+       | None -> fresh_state config
+       | Some st when st.st_config <> config ->
+         invalid_arg
+           (sp
+              "Campaign.run: checkpoint in %s is for a different \
+               campaign (seed/n/shard_size/tools/faults/guided mismatch)"
+              dir)
+       | Some st ->
+         (* every shard we did NOT recompute this process counts as
+            resumed *)
+         { st with
+           st_resumed_shards = st.st_resumed_shards + st.st_shards_done })
+  in
+  let total_shards = (n + shard_size - 1) / shard_size in
+  (* Shards alternate generation (even) and mutation (odd); mutation
+     needs a nonempty corpus to draw from, so early shards -- and every
+     shard of a blind campaign -- are generation shards, and
+     [mutate_only] makes every shard after the first admission a
+     mutation shard.  The corpus snapshot is taken once at shard start,
+     so every job in the shard is a pure function of (seed, index,
+     snapshot) regardless of -j; admission and accounting happen
+     sequentially in submission order. *)
+  let process_shard st =
+    let sidx = st.st_shards_done in
+    let lo = sidx * shard_size in
+    let indices = List.init (min n (lo + shard_size) - lo) (fun k -> lo + k) in
+    let corpus = st.st_corpus in
+    let phase =
+      if Corpus.size corpus = 0 then Gen_phase
+      else if config.c_mutate_only || sidx land 1 = 1 then Mut_phase
+      else Gen_phase
+    in
+    let outcomes =
+      Harness.Pool.maybe_map_results pool
+        (fun i ->
+           Harness.Supervise.run ~policy ~task:i ~seed:(Tape.mix seed i)
+             (fun ~attempt:_ ->
+                run_job ~tool_names ~fault_specs:faults ~campaign_seed:seed
+                  ?backend ~phase ~corpus i))
+        indices
+    in
+    let st = List.fold_left2 (absorb ~phase) st indices outcomes in
+    let acc = Corpus.accumulated st.st_corpus in
+    let st =
+      { st with
+        st_shards_done = sidx + 1;
+        st_cov_rows =
+          { cr_shard = sidx; cr_phase = phase_name phase;
+            cr_bits = Coverage.cardinal acc; cr_sites = Coverage.sites acc;
+            cr_corpus = Corpus.size st.st_corpus }
+          :: st.st_cov_rows }
+    in
+    Option.iter (fun dir -> write_checkpoint ~dir st) checkpoint;
+    st
+  in
+  let last_shard =
+    match stop_after_shards with
+    | None -> total_shards
+    | Some k -> min total_shards (st.st_shards_done + max 0 k)
+  in
+  let rec loop st =
+    if st.st_shards_done < last_shard then loop (process_shard st) else st
+  in
+  let st = loop st in
+  (* shrink only once every shard is in (a partial [stop_after_shards]
+     run is checkpoint fodder, not a report); failing rows are
+     regenerated from their seeds, so a resumed campaign shrinks
+     exactly what an uninterrupted one would.  Guided rows from
+     mutation shards are not regenerable from their seeds alone (the
+     tape came from the corpus), so guided campaigns report failures
+     through the ledger unshrunk. *)
+  let failing =
+    if guided || st.st_shards_done < total_shards then []
+    else
+      List.rev st.st_rows
+      |> List.filter (fun r -> r.failures <> [])
+      |> List.filteri (fun i _ -> i < max_shrink)
+  in
+  let shrink_row (st, shrunk) r =
+    let inject = inject_of_index r.index in
+    let task () =
+      let fault =
+        match faults with
+        | [] -> None
+        | specs -> Some (Vm.Fault.of_specs ~seed:r.seed specs)
+      in
+      let fuel =
+        Option.map
+          (fun b -> Tir.Fuel.make ~phase:"shrink" ~budget:b)
+          (fuel_budget_of_specs faults)
+      in
+      let p = Gen.generate ~inject (Tape.fresh ~seed:r.seed) in
+      let fs =
+        Oracle.evaluate ~tools:(tools_of_names tool_names) ?fault ?backend p
+      in
+      match shrink_failure ~tool_names ?fault ?fuel ?backend ~inject p fs with
+      | Some s ->
+        { s with s_row = { s.s_row with index = r.index; seed = r.seed } }
+      | None ->
+        (* non-reproducible from its own tape: report unshrunk *)
+        { s_row = r; s_failures = fs; s_src = p.Gen.src;
+          s_tape = p.Gen.tape; s_lines = Gen.line_count p.Gen.src }
+    in
+    let o =
+      Harness.Supervise.run ~policy ~task:r.index ~seed:r.seed
+        (fun ~attempt:_ -> task ())
+    in
+    let st =
+      { st with st_retries = st.st_retries + o.Harness.Supervise.retries }
+    in
+    match o.Harness.Supervise.result with
+    | Ok sh -> (st, sh :: shrunk)
+    | Error entry ->
+      (* shrink-phase quarantines go on the same ledger, after the
+         campaign's own entries *)
+      ({ st with st_quarantine = entry :: st.st_quarantine }, shrunk)
+  in
+  let st, shrunk = List.fold_left shrink_row (st, []) failing in
+  summary_of_state ~faults ~shrunk:(List.rev shrunk) st
 
 let passed s =
   s.false_positives = 0 && s.false_negatives = 0 && s.divergences = 0
@@ -809,9 +637,9 @@ let blind_coverage ?pool ?(tool_names = []) ?backend ~seed ~n ()
   let covs =
     Harness.Pool.maybe_map_results pool
       (fun i ->
-         (run_one_guided ~tool_names ~fault_specs:[] ~campaign_seed:seed
+         (run_job ~tool_names ~fault_specs:[] ~campaign_seed:seed
             ?backend ~phase:Gen_phase ~corpus:Corpus.empty i)
-           .g_cov)
+           .j_cov)
       (List.init n Fun.id)
   in
   List.fold_left
@@ -850,17 +678,7 @@ let fuzzcov_json ~blind (s : summary) : Json.t =
                  [ ("gen", counts s.gen_programs s.gen_admitted);
                    ("mutate", counts s.mut_programs s.mut_admitted) ]) ]));
       ("blind", Json.Obj (cov blind));
-      ("rows",
-       Json.List
-         (List.map
-            (fun c ->
-               Json.Obj
-                 [ ("shard", Json.Int c.cr_shard);
-                   ("phase", Json.Str c.cr_phase);
-                   ("bits", Json.Int c.cr_bits);
-                   ("sites", Json.Int c.cr_sites);
-                   ("corpus", Json.Int c.cr_corpus) ])
-            s.cov_rows)) ]
+      ("rows", Json.List (List.map cov_row_to_value s.cov_rows)) ]
 
 (* --- final ledgers -------------------------------------------------------- *)
 
@@ -868,6 +686,15 @@ let fuzzcov_json ~blind (s : summary) : Json.t =
    derives only from fields the checkpoint persists (index, seed, plan,
    failure labels, quarantine entries), so an interrupted-and-resumed
    campaign reproduces them byte for byte. *)
+let csv_or_dash = function [] -> "-" | xs -> String.concat "," xs
+
+let plan_to_field = function
+  | None -> "-"
+  | Some (p : Gen.plan) ->
+    sp "%s:%d:%d:%d" (Gen.class_name p.Gen.cls)
+      (Bool.to_int p.Gen.far) (Bool.to_int p.Gen.write)
+      (Bool.to_int p.Gen.granule16)
+
 let mismatch_ledger_lines (s : summary) =
   List.filter_map
     (fun r ->
@@ -882,7 +709,7 @@ let quarantine_ledger_lines (s : summary) =
   List.map Harness.Supervise.entry_to_line s.quarantine
 
 let write_ledgers ~dir (s : summary) : string * string =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  mkdir_p dir;
   let write name lines =
     let path = Filename.concat dir name in
     Harness.Jsonio.write_lines ~path lines;
@@ -1065,9 +892,6 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-let mkdir_p dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
-
 (* Writes shrunk failure repros; returns the paths. *)
 let write_repros ~dir (s : summary) : string list =
   if s.shrunk = [] then []
@@ -1093,25 +917,10 @@ let write_repros ~dir (s : summary) : string list =
       s.shrunk
   end
 
-let detect_same_class ?backend cls tape =
-  let p = Gen.generate ~inject:true (Tape.replay tape) in
-  match p.Gen.plan with
-  | Some pl when pl.Gen.cls = cls ->
-    (match
-       Oracle.run_tool (Cecsan.sanitizer ()) ?backend ~optimize:true
-         p.Gen.src
-     with
-     | tr ->
-       tr.Oracle.detected
-       && (match tr.Oracle.first_kind with
-           | Some k -> Oracle.kind_ok cls k
-           | None -> false)
-     | exception Oracle.Compile_error _ -> false)
-  | _ -> false
-
-(* [detect_same_class] with the whole planted shape pinned: corpus
-   shrinking preserves class AND far/write/granule16, so each entry
-   stays a faithful witness of its plan-shape marker. *)
+(* CECSan detects [tape]'s planted bug with the right kind, and the bug
+   is still exactly [pl0]: corpus shrinking preserves class AND
+   far/write/granule16, so each entry stays a faithful witness of its
+   plan-shape marker. *)
 let detect_same_plan ?backend (pl0 : Gen.plan) tape =
   let p = Gen.generate ~inject:true (Tape.replay tape) in
   match p.Gen.plan with
@@ -1180,7 +989,7 @@ let write_corpus ~dir ~seed ~count ?backend () : string list =
       let p = Gen.generate ~inject:true (Tape.fresh ~seed:pseed) in
       match p.Gen.plan with
       | Some pl
-        when detect_same_class ?backend pl.Gen.cls p.Gen.tape
+        when detect_same_plan ?backend pl p.Gen.tape
              && Coverage.novel
                   (corpus_coverage_of_tape ?backend p.Gen.tape)
                   ~acc:(Corpus.accumulated corp) ->

@@ -32,7 +32,7 @@ type cov_row = {
   cr_sites : int;             (** distinct site ids in the bitmap *)
   cr_corpus : int;            (** corpus size after the shard *)
 }
-(** One coverage-over-time sample, recorded after each guided shard. *)
+(** One coverage-over-time sample, recorded after each shard. *)
 
 type summary = {
   campaign_seed : int;
@@ -56,14 +56,14 @@ type summary = {
   guided : bool;
   mutate_only : bool;
   coverage : Coverage.t;
-      (** accumulated bitmap, unioned in submission order (empty for a
+      (** accumulated bitmap: [Corpus.accumulated corpus] (empty for a
           blind campaign) *)
-  corpus : Corpus.t;
-  cov_rows : cov_row list;    (** one per guided shard, oldest first *)
+  corpus : Corpus.t;          (** empty for a blind campaign *)
+  cov_rows : cov_row list;    (** one per shard, oldest first *)
   gen_programs : int;         (** programs run in generation shards *)
   mut_programs : int;         (** programs run in mutation shards *)
-  gen_admitted : int;         (** corpus admissions from generation *)
-  mut_admitted : int;         (** corpus admissions from mutation *)
+  gen_admitted : int;         (** corpus entries from generation *)
+  mut_admitted : int;         (** corpus entries from mutation *)
   clean : int;
   buggy : int;
   false_positives : int;
@@ -78,7 +78,21 @@ val inject_of_index : int -> bool
 (** Odd program indices carry a planted bug. *)
 
 val checkpoint_file : string
-(** ["campaign.v1.ckpt"], the file [run ~checkpoint:dir] maintains. *)
+(** ["campaign.ckpt"], the file [run ~checkpoint:dir] maintains: the
+    campaign {!state} as one JSON document (DESIGN.md section 13). *)
+
+type state
+(** Mid-campaign state: configuration, shards done, rows, quarantine,
+    merged telemetry, corpus and coverage samples.  The accumulated
+    bitmap and admission counts derive from the corpus. *)
+
+val state_to_value : state -> Json.t
+(** The checkpoint document, schema
+    ["cecsan-campaign-checkpoint/2"]. *)
+
+val state_of_value : Json.t -> state option
+(** Inverse of {!state_to_value}; [None] on any other schema or
+    shape. *)
 
 val run :
   ?pool:Harness.Pool.t -> ?tool_names:string list -> ?max_shrink:int ->
@@ -99,9 +113,11 @@ val run :
     [checkpoint] names a directory to keep an atomic
     {!checkpoint_file} in, rewritten after every shard; [resume]
     (requires [checkpoint]) restores it and continues from the first
-    unfinished shard.  A missing or unreadable checkpoint is a fresh
-    start; a checkpoint whose seed/n/shard_size/tools/faults disagree
-    with the arguments raises [Invalid_argument].
+    unfinished shard.  [checkpoint] and its missing parents are created
+    up front ([Sys_error] if that fails).  A missing or unreadable
+    checkpoint is a fresh start; a checkpoint whose
+    seed/n/shard_size/tools/faults/guided disagree with the arguments
+    raises [Invalid_argument], as does [shard_size < 1].
 
     [stop_after_shards] processes at most that many further shards and
     returns (shrink skipped) -- the deterministic stand-in for getting
@@ -111,16 +127,17 @@ val run :
     the [Driver.default_backend] ref); verdicts, ledgers and snapshots
     are bit-for-bit identical on either backend.
 
-    [guided] turns on coverage feedback (DESIGN.md section 17): each
-    program's runs additionally produce a [Coverage] bitmap, shards
-    alternate generation (even) and mutation (odd, tapes drawn from the
-    corpus snapshot at shard start and mutated via [Mutate]), and
-    coverage-novel tapes are admitted to the corpus sequentially in
-    submission order.  [mutate_only] (implies [guided]) makes every
-    shard after the first admission a mutation shard.  The corpus is
-    embedded in the checkpoint (plus a derived standalone
-    [Corpus.corpus_file] in the same directory), so kill-and-resume
-    reproduces corpus, bitmap and ledgers byte for byte at any -j.
+    [guided] turns on corpus admission (DESIGN.md section 17): every
+    program's runs produce a [Coverage] bitmap, coverage-novel tapes
+    are admitted to the corpus sequentially in submission order, and
+    once the corpus is nonempty shards alternate generation (even) and
+    mutation (odd, tapes drawn from the corpus snapshot at shard start
+    and mutated via [Mutate]).  A blind campaign runs the same loop
+    with admission off, so all its shards are generation shards.
+    [mutate_only] (implies [guided]) makes every shard after the first
+    admission a mutation shard.  The corpus is part of the
+    checkpointed state, so kill-and-resume reproduces corpus, bitmap
+    and ledgers byte for byte at any -j.
     Guided campaigns skip the shrink phase (mutation rows are not
     regenerable from their seeds alone). *)
 

@@ -15,18 +15,9 @@
    output picks the same entries in the same order — and
    coverage-preserving by construction.
 
-   The on-disk format is line-based like the campaign checkpoint it
-   composes with, written atomically via Harness.Jsonio:
-
-     cecsan-corpus v1
-     entry id=<int> seed=<hex> phase=<s> tape=<csv|-> cov=<csv|->
-     ...
-     end
-
-   Loading a saved corpus and saving it again reproduces the file byte
-   for byte. *)
-
-let sp = Printf.sprintf
+   Serialization is one JSON list of entries ([to_value]), embedded in
+   the campaign checkpoint so corpus and campaign state commit in one
+   atomic write; [of_value (to_value c)] prints back byte for byte. *)
 
 type entry = {
   e_id : int;            (* admission index, stable across minimize *)
@@ -126,32 +117,6 @@ let minimize c =
 
 (* --- serialization --------------------------------------------------------- *)
 
-let corpus_file = "corpus.v1.ckpt"
-let magic = "cecsan-corpus v1"
-
-let csv_or_dash tape =
-  if Array.length tape = 0 then "-" else Tape.to_string tape
-
-let tape_of_field = function
-  | "-" -> Some [||]
-  | s -> Tape.of_string s
-
-let entry_to_line e =
-  sp "entry id=%d seed=%x phase=%s tape=%s cov=%s" e.e_id e.e_seed e.e_phase
-    (csv_or_dash e.e_tape) (Coverage.to_string e.e_cov)
-
-let entry_of_line line =
-  match
-    Scanf.sscanf line "entry id=%d seed=%x phase=%s tape=%s cov=%s"
-      (fun id seed phase tape cov -> (id, seed, phase, tape, cov))
-  with
-  | id, seed, phase, tape, cov ->
-    (match tape_of_field tape, Coverage.of_string cov with
-     | Some e_tape, Some e_cov ->
-       Some { e_id = id; e_seed = seed; e_phase = phase; e_tape; e_cov }
-     | _ -> None)
-  | exception _ -> None
-
 (* Rebuilds corpus state from entries (in admission order): the
    accumulated bitmap and next id are derived, never stored. *)
 let of_entries entries =
@@ -163,50 +128,37 @@ let of_entries entries =
   let next_id = List.fold_left (fun m e -> max m (e.e_id + 1)) 0 entries in
   { entries; acc; next_id }
 
-let to_lines c =
-  (magic :: List.map entry_to_line c.entries) @ [ "end" ]
+let entry_to_value e =
+  Json.Obj
+    [ ("id", Json.Int e.e_id);
+      ("seed", Json.Int e.e_seed);
+      ("phase", Json.Str e.e_phase);
+      ("tape",
+       Json.List (List.map (fun d -> Json.Int d) (Array.to_list e.e_tape)));
+      ("cov", Coverage.to_value e.e_cov) ]
 
-let of_lines lines : t option =
-  match lines with
-  | m :: rest when String.equal m magic ->
-    let exception Bad in
-    (try
-       let entries = ref [] in
-       let finished = ref false in
-       List.iter
-         (fun line ->
-            if !finished then ()
-            else if String.equal line "end" then finished := true
-            else
-              match entry_of_line line with
-              | Some e -> entries := e :: !entries
-              | None -> raise Bad)
-         rest;
-       if not !finished then raise Bad;
-       Some (of_entries (List.rev !entries))
-     with Bad -> None)
+let to_value c = Json.List (List.map entry_to_value c.entries)
+
+(* Strict inverse of [to_value]: exactly its key order, integers only. *)
+let of_value v : t option =
+  let exception Bad in
+  let int = function Json.Int n -> n | _ -> raise Bad in
+  let entry = function
+    | Json.Obj
+        [ ("id", Json.Int e_id); ("seed", Json.Int e_seed);
+          ("phase", Json.Str e_phase); ("tape", Json.List tape);
+          ("cov", cov) ] ->
+      (match Coverage.of_value cov with
+       | Some e_cov ->
+         { e_id; e_seed; e_phase; e_tape = Array.of_list (List.map int tape);
+           e_cov }
+       | None -> raise Bad)
+    | _ -> raise Bad
+  in
+  match v with
+  | Json.List es ->
+    (try Some (of_entries (List.map entry es)) with Bad -> None)
   | _ -> None
-
-let save ~dir c =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let path = Filename.concat dir corpus_file in
-  Harness.Jsonio.write_lines ~path (to_lines c);
-  path
-
-(* [None] on a missing or unparseable file: a fresh corpus is always a
-   correct recovery, exactly like the campaign checkpoint. *)
-let load ~dir : t option =
-  let path = Filename.concat dir corpus_file in
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do lines := input_line ic :: !lines done
-     with End_of_file -> ());
-    close_in ic;
-    of_lines (List.rev !lines)
-  end
 
 let render fmt c =
   Format.fprintf fmt "corpus: %d entries, " (size c);

@@ -2,8 +2,8 @@
     lights a (leg, site, kind) bit the accumulated bitmap lacks, so the
     accumulated bitmap always equals the union of the entries' bitmaps.
     Admission runs sequentially in submission order, which keeps the
-    corpus byte-identical at any pool job count.  The on-disk format is
-    line-based, written atomically via [Harness.Jsonio], and round-trips
+    corpus byte-identical at any pool job count.  It serializes as one
+    JSON list, embedded in the campaign checkpoint, that round-trips
     byte for byte. *)
 
 type entry = {
@@ -48,26 +48,15 @@ val minimize : t -> t
     is fully covered.  Deterministic, idempotent, coverage-preserving;
     entry ids survive. *)
 
-val corpus_file : string
-(** ["corpus.v1.ckpt"], written next to [campaign.v1.ckpt]. *)
-
 val of_entries : entry list -> t
 (** Rebuilds corpus state from entries in admission order (accumulated
     bitmap and next id are derived, never stored). *)
 
-val entry_to_line : entry -> string
-val entry_of_line : string -> entry option
-(** One-entry (de)serialization, used by the campaign checkpoint to
-    embed the corpus so checkpoint + corpus commit atomically. *)
+val to_value : t -> Json.t
+(** The entries in admission order, one object each ([id], [seed],
+    [phase], [tape], [cov]). *)
 
-val to_lines : t -> string list
-val of_lines : string list -> t option
-
-val save : dir:string -> t -> string
-(** Atomic (tmp + rename); creates [dir]; returns the path written. *)
-
-val load : dir:string -> t option
-(** [None] on a missing or unparseable file — a fresh corpus is always
-    a correct recovery. *)
+val of_value : Json.t -> t option
+(** Strict inverse of {!to_value}: [None] on any other shape. *)
 
 val render : Format.formatter -> t -> unit

@@ -17,7 +17,7 @@
    distinct programs.
 
    Determinism: a bitmap is a [Set.Make(Int)] over packed keys, so union
-   is commutative and serialization (sorted csv of keys) is
+   is commutative and serialization (sorted list of keys) is
    byte-identical for equal bitmaps regardless of merge order or job
    count. *)
 
@@ -97,27 +97,22 @@ let of_rows ~leg rows =
 
 (* --- serialization --------------------------------------------------------- *)
 
-(* Sorted csv of packed keys; "-" for the empty bitmap.  Byte-exact
-   round trip: [of_string (to_string t) = Some t] and equal bitmaps
-   print identically (set order is canonical). *)
-let to_string t =
-  match S.elements t with
-  | [] -> "-"
-  | ks -> String.concat "," (List.map string_of_int ks)
+(* The sorted list of packed keys: equal bitmaps print identically (set
+   order is canonical), and [of_value (to_value t) = Some t]. *)
+let to_value t = Json.List (List.map (fun k -> Json.Int k) (S.elements t))
 
-let of_string s =
-  if String.equal s "-" then Some S.empty
-  else
-    try
-      Some
-        (List.fold_left
-           (fun acc f ->
-              match int_of_string_opt f with
-              | Some k when k >= 0 -> S.add k acc
-              | _ -> raise Exit)
-           S.empty
-           (String.split_on_char ',' s))
-    with Exit -> None
+let of_value = function
+  | Json.List ks ->
+    (try
+       Some
+         (List.fold_left
+            (fun acc k ->
+               match k with
+               | Json.Int k when k >= 0 -> S.add k acc
+               | _ -> raise Exit)
+            S.empty ks)
+     with Exit -> None)
+  | _ -> None
 
 (* Human summary for reports: totals per kind. *)
 let render fmt t =

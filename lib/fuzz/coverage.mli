@@ -50,11 +50,12 @@ val of_rows : leg:int -> Telemetry.Snapshot.site_row list -> t
     site contributes its [Instrumented] bit, nonzero counters their
     kind bits. *)
 
-val to_string : t -> string
-(** Sorted csv of packed keys ("-" when empty); canonical, so equal
-    bitmaps serialize byte-identically. *)
+val to_value : t -> Json.t
+(** The sorted list of packed keys; canonical, so equal bitmaps
+    serialize byte-identically. *)
 
-val of_string : string -> t option
-(** Inverse of {!to_string}. *)
+val of_value : Json.t -> t option
+(** Inverse of {!to_value}; [None] on anything but a list of
+    non-negative integers. *)
 
 val render : Format.formatter -> t -> unit

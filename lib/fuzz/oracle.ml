@@ -340,10 +340,6 @@ let evaluate_cov ?(tools = []) ?fault ?backend (p : Gen.program) :
     ( List.rev !failures, cec_on.snapshot,
       coverage_of_runs (cec_on :: cec_off :: cec_noabs :: extras) )
 
-let evaluate_full ?tools ?fault ?backend (p : Gen.program) :
-  failure list * Telemetry.Snapshot.t =
-  let fs, snap, _ = evaluate_cov ?tools ?fault ?backend p in
-  (fs, snap)
-
 let evaluate ?tools ?fault ?backend (p : Gen.program) : failure list =
-  fst (evaluate_full ?tools ?fault ?backend p)
+  let fs, _, _ = evaluate_cov ?tools ?fault ?backend p in
+  fs

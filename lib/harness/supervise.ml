@@ -66,23 +66,31 @@ let run ?(policy = default_policy) ~task ~seed (f : attempt:int -> 'a)
   in
   go 0
 
-(* --- ledger serialization -------------------------------------------------- *)
+(* --- serialization -------------------------------------------------------- *)
 
-(* One line per entry; [%S] on the detail keeps the line single-line
-   and round-trippable through [Scanf].  This is the quarantine half of
-   the checkpoint schema (DESIGN.md section 13). *)
+(* One line per entry for the write-only quarantine ledger; [%S] on the
+   detail keeps the line single-line. *)
 let entry_to_line e =
   Printf.sprintf "task=%d seed=%x attempts=%d class=%s phase=%s detail=%S"
     e.q_task e.q_seed e.q_attempts e.q_class e.q_phase e.q_detail
 
-let entry_of_line line : entry option =
-  match
-    Scanf.sscanf line "task=%d seed=%x attempts=%d class=%s phase=%s detail=%S"
-      (fun q_task q_seed q_attempts q_class q_phase q_detail ->
-         { q_task; q_seed; q_class; q_phase; q_attempts; q_detail })
-  with
-  | e -> Some e
-  | exception _ -> None
+(* The campaign checkpoint's form (DESIGN.md section 13). *)
+let entry_to_value e =
+  Json.Obj
+    [ ("task", Json.Int e.q_task);
+      ("seed", Json.Int e.q_seed);
+      ("class", Json.Str e.q_class);
+      ("phase", Json.Str e.q_phase);
+      ("attempts", Json.Int e.q_attempts);
+      ("detail", Json.Str e.q_detail) ]
+
+let entry_of_value = function
+  | Json.Obj
+      [ ("task", Json.Int q_task); ("seed", Json.Int q_seed);
+        ("class", Json.Str q_class); ("phase", Json.Str q_phase);
+        ("attempts", Json.Int q_attempts); ("detail", Json.Str q_detail) ] ->
+    Some { q_task; q_seed; q_class; q_phase; q_attempts; q_detail }
+  | _ -> None
 
 let render fmt (entries : entry list) =
   if entries = [] then

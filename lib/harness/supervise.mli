@@ -41,11 +41,13 @@ val run :
     the classified quarantine [entry] instead of raising. *)
 
 val entry_to_line : entry -> string
-(** One-line ledger serialization (the quarantine half of the
-    checkpoint schema, DESIGN.md section 13). *)
+(** One-line form, for the write-only quarantine ledger. *)
 
-val entry_of_line : string -> entry option
-(** Inverse of {!entry_to_line}; [None] on malformed lines. *)
+val entry_to_value : entry -> Json.t
+val entry_of_value : Json.t -> entry option
+(** The campaign checkpoint's form (DESIGN.md section 13);
+    [entry_of_value] is its strict inverse, [None] on any other
+    shape. *)
 
 val render : Format.formatter -> entry list -> unit
 (** Human-readable quarantine table. *)

@@ -26,6 +26,43 @@ let cli_cases name =
   [ exits_of ~label:[ name ] prog 2 [ "--no-such-flag" ];
     exits_of ~label:[ name ] prog 0 [ "--help=plain" ] ]
 
+(* cecsan_fuzz input it cannot use -- a checkpoint of another campaign,
+   a directory it cannot create or read -- exits 2 with one classified
+   "cecsan_fuzz: ..." line on stderr, never an uncaught exception.
+   [args] gets a fresh scratch directory holding a regular file
+   [plain]. *)
+let classified ?(setup = []) name args =
+  let fuzz = exe "../bin" "cecsan_fuzz.exe" in
+  Alcotest.test_case ("cecsan_fuzz " ^ name) `Quick (fun () ->
+      let dir = Filename.temp_dir "cecsan_fuzz" "" in
+      Fun.protect
+        ~finally:(fun () ->
+            ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ])))
+        (fun () ->
+           let plain = Filename.concat dir "plain" in
+           Out_channel.with_open_bin plain ignore;
+           List.iter
+             (fun a -> ignore (exit_code fuzz (a ~dir ~plain)))
+             setup;
+           let err = Filename.concat dir "stderr" in
+           let code =
+             Sys.command
+               (Filename.quote_command fuzz (args ~dir ~plain)
+                  ~stdout:Filename.null ~stderr:err)
+           in
+           let lines =
+             In_channel.with_open_bin err In_channel.input_all
+             |> String.split_on_char '\n'
+             |> List.filter (fun l -> l <> "")
+           in
+           Alcotest.(check int) "exit code" 2 code;
+           match lines with
+           | [ l ] when String.starts_with ~prefix:"cecsan_fuzz: " l -> ()
+           | _ -> Alcotest.failf "stderr: %S" (String.concat "\n" lines)))
+
+let fuzz_exits code args =
+  exits_of ~label:[ "cecsan_fuzz" ] (exe "../bin" "cecsan_fuzz.exe") code args
+
 let () =
   Alcotest.run "bench"
     [
@@ -44,4 +81,24 @@ let () =
       ( "bin command lines",
         List.concat_map cli_cases
           [ "cecsan_cli"; "cecsan_fuzz"; "cecsan_serve" ] );
+      ( "fuzz errors",
+        [
+          fuzz_exits 2 [ "-n-5" ];
+          fuzz_exits 2 [ "-n"; "1"; "--shard-size"; "0" ];
+          classified "resume of another campaign"
+            ~setup:
+              [ (fun ~dir ~plain:_ ->
+                    [ "-n"; "4"; "--shard-size"; "2"; "--checkpoint"; dir ]) ]
+            (fun ~dir ~plain:_ ->
+               [ "-n"; "4"; "--seed"; "7"; "--shard-size"; "2";
+                 "--checkpoint"; dir; "--resume" ]);
+          classified "--checkpoint under a file" (fun ~dir:_ ~plain ->
+              [ "-n"; "2"; "--checkpoint"; Filename.concat plain "ckpt" ]);
+          classified "--corpus-dir under a file" (fun ~dir:_ ~plain ->
+              [ "--write-corpus"; "--corpus-count"; "1"; "--corpus-dir";
+                Filename.concat plain "corpus" ]);
+          classified "--min-corpus of a missing dir" (fun ~dir ~plain:_ ->
+              [ "--min-corpus"; "--corpus-dir";
+                Filename.concat dir "missing" ]);
+        ] );
     ]

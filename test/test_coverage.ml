@@ -19,20 +19,24 @@ let packing_tests =
             Fuzz.Coverage.key_leg k = leg
             && Fuzz.Coverage.key_site k = site
             && Fuzz.Coverage.key_kind k = kind));
-    Alcotest.test_case "to_string/of_string round-trips" `Quick (fun () ->
+    Alcotest.test_case "to_value/of_value round-trips" `Quick (fun () ->
         let c =
           Fuzz.Coverage.of_keys
             [ Fuzz.Coverage.key ~leg:0 ~site:3 Fuzz.Coverage.Executed;
               Fuzz.Coverage.key ~leg:2 ~site:0 Fuzz.Coverage.Instrumented;
               Fuzz.Coverage.key ~leg:1 ~site:17 Fuzz.Coverage.Covered ]
         in
-        (match Fuzz.Coverage.of_string (Fuzz.Coverage.to_string c) with
-         | Some c' -> Alcotest.check cov "round trip" c c'
-         | None -> Alcotest.fail "of_string failed");
-        Alcotest.(check string) "empty is dash" "-"
-          (Fuzz.Coverage.to_string Fuzz.Coverage.empty);
-        Alcotest.(check bool) "empty parses" true
-          (Fuzz.Coverage.of_string "-" = Some Fuzz.Coverage.empty));
+        let text = Json.to_string (Fuzz.Coverage.to_value c) in
+        (match Result.map Fuzz.Coverage.of_value (Json.parse text) with
+         | Ok (Some c') ->
+           Alcotest.check cov "round trip" c c';
+           Alcotest.(check string) "same bytes" text
+             (Json.to_string (Fuzz.Coverage.to_value c'))
+         | _ -> Alcotest.fail "of_value failed");
+        Alcotest.(check string) "empty is []" "[]"
+          (Json.to_string (Fuzz.Coverage.to_value Fuzz.Coverage.empty));
+        Alcotest.(check bool) "negative keys rejected" true
+          (Fuzz.Coverage.of_value (Json.List [ Json.Int (-1) ]) = None));
     Alcotest.test_case "instrumented-only sites carry a bit" `Quick
       (fun () ->
          (* all-zero rows (sites_full's contribution) must be visible in
@@ -50,6 +54,8 @@ let packing_tests =
 
 (* --- accumulated-bitmap determinism over a guided shard -------------------- *)
 
+let corpus_json c = Json.to_string (Fuzz.Corpus.to_value c)
+
 let guided ?pool ?stop_after_shards ?(resume = false) ?checkpoint ~seed ~n
     () =
   Fuzz.Campaign.run ?pool ?checkpoint ~resume ?stop_after_shards
@@ -66,11 +72,11 @@ let determinism_tests =
                guided ~pool:p ~seed:0xC0FFEE ~n:200 ())
          in
          Alcotest.(check string) "bitmap"
-           (Fuzz.Coverage.to_string s1.Fuzz.Campaign.coverage)
-           (Fuzz.Coverage.to_string s4.Fuzz.Campaign.coverage);
-         Alcotest.(check (list string)) "corpus lines"
-           (Fuzz.Corpus.to_lines s1.Fuzz.Campaign.corpus)
-           (Fuzz.Corpus.to_lines s4.Fuzz.Campaign.corpus);
+           (Json.to_string (Fuzz.Coverage.to_value s1.Fuzz.Campaign.coverage))
+           (Json.to_string (Fuzz.Coverage.to_value s4.Fuzz.Campaign.coverage));
+         Alcotest.(check string) "corpus"
+           (corpus_json s1.Fuzz.Campaign.corpus)
+           (corpus_json s4.Fuzz.Campaign.corpus);
          Alcotest.(check (list string)) "mismatch ledger"
            (Fuzz.Campaign.mismatch_ledger_lines s1)
            (Fuzz.Campaign.mismatch_ledger_lines s4));
@@ -147,21 +153,23 @@ let corpus_tests =
            (Fuzz.Corpus.size c > 0);
          let m = Fuzz.Corpus.minimize c in
          let m2 = Fuzz.Corpus.minimize m in
-         Alcotest.(check (list string)) "fixed point"
-           (Fuzz.Corpus.to_lines m) (Fuzz.Corpus.to_lines m2);
+         Alcotest.(check string) "fixed point" (corpus_json m)
+           (corpus_json m2);
          Alcotest.check cov "same accumulated bitmap"
            (Fuzz.Corpus.accumulated c) (Fuzz.Corpus.accumulated m);
          Alcotest.(check bool) "no larger" true
            (Fuzz.Corpus.size m <= Fuzz.Corpus.size c));
-    Alcotest.test_case "corpus file round-trips byte for byte" `Quick
+    Alcotest.test_case "corpus JSON round-trips byte for byte" `Quick
       (fun () ->
          let s = guided ~seed:0x5EED ~n:60 () in
-         let lines = Fuzz.Corpus.to_lines s.Fuzz.Campaign.corpus in
-         match Fuzz.Corpus.of_lines lines with
-         | Some c' ->
-           Alcotest.(check (list string)) "round trip" lines
-             (Fuzz.Corpus.to_lines c')
-         | None -> Alcotest.fail "of_lines failed");
+         let text = corpus_json s.Fuzz.Campaign.corpus in
+         match Result.map Fuzz.Corpus.of_value (Json.parse text) with
+         | Ok (Some c') ->
+           Alcotest.(check string) "round trip" text (corpus_json c');
+           Alcotest.check cov "accumulated bitmap rebuilt"
+             (Fuzz.Corpus.accumulated s.Fuzz.Campaign.corpus)
+             (Fuzz.Corpus.accumulated c')
+         | _ -> Alcotest.fail "of_value failed");
   ]
 
 (* --- the golden inequality ------------------------------------------------- *)

@@ -66,25 +66,40 @@ let supervise_tests =
            Alcotest.(check int) "seed" 0xEF e.Harness.Supervise.q_seed;
            Alcotest.(check string) "class" "crash" e.Harness.Supervise.q_class;
            Alcotest.(check int) "attempts" 2 e.Harness.Supervise.q_attempts);
-    Alcotest.test_case "entry_to_line round-trips through entry_of_line"
-      `Quick
+    Alcotest.test_case "entry_to_value round-trips" `Quick (fun () ->
+        let e =
+          { Harness.Supervise.q_task = 12; q_seed = 0xBEEF;
+            q_class = "fuel"; q_phase = "verify"; q_attempts = 3;
+            q_detail = "Exhausted {phase=\"verify\"; budget=600}\n" }
+        in
+        let text = Json.to_string (Harness.Supervise.entry_to_value e) in
+        match Result.map Harness.Supervise.entry_of_value (Json.parse text) with
+        | Ok (Some e') -> Alcotest.(check bool) "round trip" true (e = e')
+        | _ -> Alcotest.fail "entry_of_value rejected its own value");
+    Alcotest.test_case "entry_of_value rejects other shapes" `Quick
       (fun () ->
          let e =
-           { Harness.Supervise.q_task = 12; q_seed = 0xBEEF;
-             q_class = "fuel"; q_phase = "verify"; q_attempts = 3;
-             q_detail = "Exhausted {phase=\"verify\"; budget=600}" }
+           { Harness.Supervise.q_task = 1; q_seed = 2; q_class = "crash";
+             q_phase = "run"; q_attempts = 2; q_detail = "x" }
          in
-         match
-           Harness.Supervise.entry_of_line
-             (Harness.Supervise.entry_to_line e)
-         with
-         | Some e' ->
-           Alcotest.(check bool) "round trip" true (e = e')
-         | None -> Alcotest.fail "entry_of_line rejected its own line");
-    Alcotest.test_case "entry_of_line rejects malformed lines" `Quick
-      (fun () ->
-         Alcotest.(check bool) "garbage" true
-           (Harness.Supervise.entry_of_line "not a ledger line" = None));
+         let fields =
+           match Harness.Supervise.entry_to_value e with
+           | Json.Obj kvs -> kvs
+           | _ -> Alcotest.fail "entry_to_value is not an object"
+         in
+         List.iter
+           (fun v ->
+              Alcotest.(check bool) (Json.to_string v) true
+                (Harness.Supervise.entry_of_value v = None))
+           [ Json.Str "not a ledger entry";
+             Json.Obj (List.tl fields);
+             Json.Obj (List.rev fields);
+             Json.Obj
+               (List.map
+                  (fun (k, v) ->
+                     if String.equal k "task" then (k, Json.Str "1")
+                     else (k, v))
+                  fields) ]);
   ]
 
 (* --- fuel watchdogs ------------------------------------------------------ *)
@@ -218,8 +233,82 @@ let with_tmp_dir f =
         end)
     (fun () -> f dir)
 
+let bitmap_json (s : Fuzz.Campaign.summary) =
+  Json.to_string (Fuzz.Coverage.to_value s.Fuzz.Campaign.coverage)
+
+let corpus_json (s : Fuzz.Campaign.summary) =
+  Json.to_string (Fuzz.Corpus.to_value s.Fuzz.Campaign.corpus)
+
+let checkpoint_path dir = Filename.concat dir Fuzz.Campaign.checkpoint_file
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+let read_checkpoint dir =
+  Result.to_option (Json.parse (read_file (checkpoint_path dir)))
+
+(* An unreadable checkpoint is a fresh start: [corrupt] rewrites the
+   one a one-shard run left, and the resumed campaign must recompute
+   every shard and still match an uninterrupted run's ledgers. *)
+let fresh_start_case name corrupt =
+  Alcotest.test_case name `Quick (fun () ->
+      with_tmp_dir (fun dir ->
+          let seed = 0x5EED and n = 40 in
+          let faults = [ Vm.Fault.Crash 1 ] in
+          let run ?stop_after_shards ?(resume = false) () =
+            Fuzz.Campaign.run ~seed ~n ~max_shrink:0 ~faults
+              ~checkpoint:dir ~shard_size:16 ?stop_after_shards ~resume ()
+          in
+          let uninterrupted =
+            Fuzz.Campaign.run ~seed ~n ~max_shrink:0 ~faults ()
+          in
+          ignore (run ~stop_after_shards:1 ());
+          let path = checkpoint_path dir in
+          write_file path (corrupt (read_file path));
+          let resumed = run ~resume:true () in
+          Alcotest.(check int) "no resumed shards" 0
+            resumed.Fuzz.Campaign.resumed_shards;
+          Alcotest.check mismatch_pair "ledger lines"
+            (ledgers uninterrupted) (ledgers resumed)))
+
+(* A one-shard checkpoint of the same campaign in the retired
+   line-based v1 format: no v1 reader remains, so it reads as a fresh
+   start. *)
+let v1_checkpoint =
+  String.concat "\n"
+    [ "cecsan-campaign-checkpoint v1"; "seed 5eed"; "n 40"; "shard_size 16";
+      "tools -"; "faults crash:1"; "shards_done 1"; "resumed_shards 0";
+      "retries 0"; "row index=0 seed=3b0bd4f6a6c6c3d4 plan=- failures=-";
+      "snapshot {\"sites\": [], \"counters\": {}, \"gauges\": {}, \
+       \"dropped\": 0, \"events\": []}";
+      "end"; "" ]
+
 let checkpoint_tests =
   [
+    fresh_start_case "garbage checkpoint starts fresh" (fun _ ->
+        "\x00\xffnot a checkpoint\n");
+    fresh_start_case "truncated checkpoint starts fresh" (fun text ->
+        String.sub text 0 (String.length text / 2));
+    fresh_start_case "v1 checkpoint starts fresh" (fun _ -> v1_checkpoint);
+    Alcotest.test_case "state survives the checkpoint file" `Quick
+      (fun () ->
+         with_tmp_dir (fun dir ->
+             ignore
+               (Fuzz.Campaign.run ~guided:true ~seed:0x5EED ~n:60
+                  ~shard_size:10 ~checkpoint:dir ~stop_after_shards:3 ());
+             let text = read_file (checkpoint_path dir) in
+             let st =
+               match Json.parse text with
+               | Ok v -> Fuzz.Campaign.state_of_value v
+               | Error m -> Alcotest.fail m
+             in
+             match st with
+             | Some st ->
+               Alcotest.(check string) "same document" text
+                 (Json.to_string (Fuzz.Campaign.state_to_value st) ^ "\n")
+             | None -> Alcotest.fail "state_of_value rejected a checkpoint"));
     Alcotest.test_case "interrupt + resume reproduces the ledgers" `Quick
       (fun () ->
          with_tmp_dir (fun dir ->
@@ -297,20 +386,17 @@ let checkpoint_tests =
              Alcotest.(check bool) "shards were restored" true
                (resumed.Fuzz.Campaign.resumed_shards > 0);
              Alcotest.(check string) "accumulated bitmap"
-               (Fuzz.Coverage.to_string uninterrupted.Fuzz.Campaign.coverage)
-               (Fuzz.Coverage.to_string resumed.Fuzz.Campaign.coverage);
-             Alcotest.(check (list string)) "corpus lines"
-               (Fuzz.Corpus.to_lines uninterrupted.Fuzz.Campaign.corpus)
-               (Fuzz.Corpus.to_lines resumed.Fuzz.Campaign.corpus);
+               (bitmap_json uninterrupted) (bitmap_json resumed);
+             Alcotest.(check string) "corpus"
+               (corpus_json uninterrupted) (corpus_json resumed);
              Alcotest.check mismatch_pair "ledger lines"
                (ledgers uninterrupted) (ledgers resumed);
-             (* the derived on-disk corpus matches the in-memory one *)
-             match Fuzz.Corpus.load ~dir with
+             (* the checkpoint's corpus matches the in-memory one *)
+             match Option.bind (read_checkpoint dir) (Json.member "corpus") with
              | Some c ->
-               Alcotest.(check (list string)) "on-disk corpus"
-                 (Fuzz.Corpus.to_lines uninterrupted.Fuzz.Campaign.corpus)
-                 (Fuzz.Corpus.to_lines c)
-             | None -> Alcotest.fail "no corpus file written"));
+               Alcotest.(check string) "checkpointed corpus"
+                 (corpus_json uninterrupted) (Json.to_string c)
+             | None -> Alcotest.fail "no corpus in the checkpoint"));
     Alcotest.test_case "guided flag mismatch on resume is rejected" `Quick
       (fun () ->
          with_tmp_dir (fun dir ->
