@@ -453,7 +453,7 @@ let microbenches () =
       (Staged.stage (fun () ->
            ignore
              (Cecsan.Runtime.check_deref rt st_check ~write:false ~size:8
-                tagged)))
+                ~site:(-1) ~cost:Cecsan.Costs.check tagged)))
   in
   let st2 = Vm.State.create () in
   let shadow_addr = Vm.Layout46.heap_base in

@@ -30,6 +30,9 @@ type chain_entry = { c_lo : int; c_hi : int }
 
 type t = {
   st : Vm.State.t;
+  mutable pages : bytes array;
+      (* table page k (at [meta_base + k * page_size]) once touched,
+         [Bytes.empty] before; the same bytes the paged memory holds *)
   mutable gmi : int;
   mutable live : int;               (* currently live entries *)
   mutable peak_live : int;
@@ -54,23 +57,68 @@ let effective_limit t =
 
 let entry_addr i = Vm.Layout46.meta_base + (i * entry_bytes)
 
-let low t i = Vm.Memory.load t.st.Vm.State.mem (entry_addr i) 8
-let high t i = Vm.Memory.load t.st.Vm.State.mem (entry_addr i + 8) 8
-let next_id t i = Vm.Memory.load t.st.Vm.State.mem (entry_addr i + 16) 8
+(* The table's own page path.  Reading entries through [Vm.Memory.load]
+   would share the memory's one-entry last-page cache with the program's
+   accesses, so every check would evict the program's page and the next
+   program access would evict the table's.  Instead the table keeps its
+   pages in an array indexed by table page number, grown to the highest
+   page touched (not to the 768-page reservation).  A page is fetched
+   once through [Vm.Memory.page], so it is materialized and counted in
+   the residency exactly as a [Memory.load] would; the array then holds
+   the very bytes the paged memory holds, which stays valid because a
+   materialized page is never removed or replaced. *)
+let meta_base = Vm.Layout46.meta_base
+let page_mask = Vm.Layout46.page_size - 1
+let page_shift = 12  (* [Layout46.page_of], open-coded for the hot path *)
 
-let set_low t i v = Vm.Memory.store t.st.Vm.State.mem (entry_addr i) 8 v
-let set_high t i v = Vm.Memory.store t.st.Vm.State.mem (entry_addr i + 8) 8 v
-let set_next_id t i v =
-  Vm.Memory.store t.st.Vm.State.mem (entry_addr i + 16) 8 v
+let touch t k =
+  let n = Array.length t.pages in
+  if k >= n then begin
+    let grown = Array.make (max (k + 1) (2 * n)) Bytes.empty in
+    Array.blit t.pages 0 grown 0 n;
+    t.pages <- grown
+  end;
+  let p = Vm.Memory.page t.st.Vm.State.mem (meta_base + (k lsl page_shift)) in
+  t.pages.(k) <- p;
+  p
+
+let page t a =
+  let k = (a - meta_base) lsr page_shift in
+  let pages = t.pages in
+  if k < Array.length pages then begin
+    let p = Array.unsafe_get pages k in
+    if Bytes.length p > 0 then p else touch t k
+  end
+  else touch t k
+[@@inline]
+
+(* Entries start on a page boundary and every field is 8-aligned, so a
+   field never straddles pages.  The bytes are [Memory.load a 8]'s and
+   [Memory.store a 8]'s: a little-endian 63-bit word whose byte 7 holds
+   bits 56..62, so bit 63 is cleared on write and dropped on read. *)
+let word t a = Int64.to_int (Bytes.get_int64_le (page t a) (a land page_mask))
+[@@inline]
+
+let set_word t a v =
+  Bytes.set_int64_le (page t a) (a land page_mask)
+    (Int64.logand (Int64.of_int v) Int64.max_int)
+
+let low t i = word t (entry_addr i)
+let high t i = word t (entry_addr i + 8)
+let next_id t i = word t (entry_addr i + 16)
+
+let set_low t i v = set_word t (entry_addr i) v
+let set_high t i v = set_word t (entry_addr i + 8) v
+let set_next_id t i v = set_word t (entry_addr i + 16) v
 
 (* The constructor the runtime library registers: initializes entry 0 and
    GMI (paper section III: "the constructor... allocates and initializes
    a metadata table through mmap before program starts"). *)
 let create ?(chain_mode = false) (st : Vm.State.t) : t =
-  let t = { st; gmi = 1; live = 0; peak_live = 0; total_allocated = 0;
-            recycled = 0; exhausted_fallbacks = 0; chain_mode;
-            chains = Hashtbl.create 16; chained = 0; chain_total = 0;
-            chain_cursor = 1;
+  let t = { st; pages = [||]; gmi = 1; live = 0; peak_live = 0;
+            total_allocated = 0; recycled = 0; exhausted_fallbacks = 0;
+            chain_mode; chains = Hashtbl.create 16; chained = 0;
+            chain_total = 0; chain_cursor = 1;
             chain_lookups = 0; chain_links_walked = 0 } in
   set_low t 0 0;
   set_high t 0 Vm.Layout46.va_limit;

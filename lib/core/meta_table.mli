@@ -18,6 +18,10 @@ type chain_entry = { c_lo : int; c_hi : int }
 
 type t = {
   st : Vm.State.t;
+  mutable pages : bytes array;
+      (** the table's own page path: table page [k] once touched, shared
+          with the paged memory, so entry reads and writes never go
+          through (or evict) the program's last-page cache *)
   mutable gmi : int;  (** the Global Metadata Index of the paper *)
   mutable live : int;
   mutable peak_live : int;

@@ -12,7 +12,8 @@ let name = "CECSan"
 
 type t = {
   mutable table : Meta_table.t option;
-  gpt : (int, int) Hashtbl.t;         (* global slot -> tagged pointer *)
+  mutable gpt : int array;            (* global slot -> tagged pointer;
+                                         0 = unregistered *)
   mutable reports_sub_object : int;
   chain_overflow : bool;              (* the section V.1 extension *)
   (* telemetry, published as gauges by [at_exit] *)
@@ -38,7 +39,7 @@ let classify_oob ~write tbl idx _raw =
   else Vm.Report.Oob_read
 [@@inline]
 
-let check_deref rt st ~write ~size ?(site = -1) ?(cost = Costs.check) ptr =
+let check_deref rt st ~write ~size ~site ~cost ptr =
   let tbl = get_table rt st in
   Vm.State.tick st cost;
   let idx = L.tag_of ptr in
@@ -206,16 +207,26 @@ let stack_release rt st tagged =
 
 let global_make rt st ~slot addr size =
   let tagged = Meta_table.alloc (get_table rt st) ~base:addr ~size in
-  Hashtbl.replace rt.gpt slot tagged;
+  let n = Array.length rt.gpt in
+  if slot >= n then begin
+    let grown = Array.make (max (slot + 1) (2 * n)) 0 in
+    Array.blit rt.gpt 0 grown 0 n;
+    rt.gpt <- grown
+  end;
+  rt.gpt.(slot) <- tagged;
   (* the GPT itself is ordinary memory (residency counts) *)
   Vm.Memory.store st.Vm.State.mem (L.aux_base + (slot * 8)) 8 tagged;
   tagged
 
 let gpt_load rt st slot =
   Vm.State.tick st Costs.gpt_load;
-  match Hashtbl.find_opt rt.gpt slot with
-  | Some tagged -> tagged
-  | None -> Vm.Memory.load st.Vm.State.mem (L.aux_base + (slot * 8)) 8
+  let tagged =
+    if slot >= 0 && slot < Array.length rt.gpt then
+      Array.unsafe_get rt.gpt slot
+    else 0
+  in
+  if tagged <> 0 then tagged
+  else Vm.Memory.load st.Vm.State.mem (L.aux_base + (slot * 8)) 8
 
 (* Sub-object narrowing (section II.D): validate the field range against
    the parent entry, then mint a temporary narrowed entry. *)
@@ -464,9 +475,13 @@ let intrinsic_table rt : (string * Vm.Runtime.intrinsic) list =
   [
     (* args.(last) is always the site id appended by the machine *)
     "__cecsan_check_load",
-    (fun st a -> check_deref rt st ~write:false ~size:a.(1) ~site:a.(2) a.(0));
+    (fun st a ->
+       check_deref rt st ~write:false ~size:a.(1) ~site:a.(2)
+         ~cost:Costs.check a.(0));
     "__cecsan_check_store",
-    (fun st a -> check_deref rt st ~write:true ~size:a.(1) ~site:a.(2) a.(0));
+    (fun st a ->
+       check_deref rt st ~write:true ~size:a.(1) ~site:a.(2)
+         ~cost:Costs.check a.(0));
     (* spatial-only downgrades (DESIGN.md 16): detection-identical to the
        fused check -- same Algorithm 1 over the same entry -- at the lower
        cost the statically-certified temporal half buys *)
@@ -505,7 +520,7 @@ let stats rt =
   | Some t -> (t.Meta_table.peak_live, t.Meta_table.total_allocated)
 
 let create ?(chain_overflow = false) () : t * Vm.Runtime.t =
-  let rt = { table = None; gpt = Hashtbl.create 17; reports_sub_object = 0;
+  let rt = { table = None; gpt = Array.make 16 0; reports_sub_object = 0;
              chain_overflow; entry0_hits = 0; sub_temporaries = 0 } in
   let vrt = {
     Vm.Runtime.rt_name = name;

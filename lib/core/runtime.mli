@@ -12,8 +12,9 @@ val name : string
 type t = {
   mutable table : Meta_table.t option;
       (** created lazily on first use: the load-time constructor *)
-  gpt : (int, int) Hashtbl.t;
-      (** the Global Pointer Table: slot index -> tagged pointer *)
+  mutable gpt : int array;
+      (** the Global Pointer Table: slot index -> tagged pointer, grown
+          on registration; 0 marks an unregistered slot *)
   mutable reports_sub_object : int;
   chain_overflow : bool;
       (** the section V.1 overflow-chain extension *)
@@ -27,16 +28,18 @@ type t = {
 val get_table : t -> Vm.State.t -> Meta_table.t
 
 val check_deref :
-  t -> Vm.State.t -> write:bool -> size:int -> ?site:int -> ?cost:int ->
+  t -> Vm.State.t -> write:bool -> size:int -> site:int -> cost:int ->
   int -> int
 (** Algorithm 1: the optimized dereference check.  Returns the STRIPPED
     address for the access.  A spatial or temporal violation (a freed
     entry's INVALID low bound makes the same fused compare fail) goes to
     the run's sink: it raises [Vm.Report.Bug] under [Halt] and records
-    then proceeds with the stripped access under [Recover].  [cost]
-    (default [Costs.check]) is the cycle charge; the spatial-only
-    downgraded intrinsics pass [Costs.check_spatial] -- detection is
-    identical, only the charge differs. *)
+    then proceeds with the stripped access under [Recover].  [site] is
+    the check's Tir site id ([-1] for none) and [cost] its cycle charge:
+    [Costs.check] for the fused check, [Costs.check_spatial] for the
+    spatial-only downgrades -- detection is identical, only the charge
+    differs.  Both are labelled, not optional, so the per-check call
+    allocates no [Some]. *)
 
 val check_range : t -> Vm.State.t -> write:bool -> int -> int -> int
 (** [check_range t st ~write ptr len] validates [ptr, ptr+len) against

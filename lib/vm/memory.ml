@@ -29,7 +29,15 @@ type t = {
      cache can be stale in page-number only (after another page is
      touched), never in content.  Any future operation that removes or
      swaps a pages entry MUST call [invalidate_cache] or the next
-     same-page access reads freed backing store. *)
+     same-page access reads freed backing store.
+
+     The cache is not the only holder of page references: CECSan's
+     metadata table ([Cecsan.Meta_table]) keeps every table page it has
+     touched in its own page array, fetched once through [page], so its
+     probes never evict the program's cached page.  It relies on the
+     same rule, that a materialized page is never removed or replaced,
+     and an operation that broke the rule would have to drop that array
+     as well. *)
   mutable last_pn : int;
   mutable last_page : bytes;
 }

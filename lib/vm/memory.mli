@@ -21,7 +21,10 @@ val invalidate_cache : t -> unit
     fault-injected table shrink only narrows the metadata table's
     logical limit), so the cache can never hold dangling backing store;
     any future page-table mutation that breaks that invariant must call
-    this first. *)
+    this first.  The cache is one of two holders of page references:
+    [Cecsan.Meta_table]'s page array keeps the table pages it fetched
+    through {!page} and relies on the same "a materialized page is never
+    removed or replaced" rule, which this call does not reach. *)
 
 val page : t -> int -> bytes
 (** The 4 KiB page backing address [a], materialized on first touch and

@@ -518,6 +518,117 @@ let table_tests =
             t.Cecsan.Meta_table.live = 0));
   ]
 
+(* --- the table's page path and the array-backed GPT ------------------------- *)
+
+(* Entry 170 straddles table pages: its low and high words end table
+   page 0 (offsets 4080 and 4088) and its next_id opens page 1. *)
+let straddler = 170
+
+let entry_word i field =
+  Vm.Layout46.meta_base + (i * Cecsan.Meta_table.entry_bytes) + (8 * field)
+
+let page_path_tests =
+  let open Cecsan in
+  [
+    Alcotest.test_case "checks leave the program's last-page cache alone"
+      `Quick (fun () ->
+        let st = Vm.State.create () in
+        let mem = st.Vm.State.mem in
+        let rt, _ = Runtime.create () in
+        let p = ref 0 in
+        for _ = 1 to straddler do p := Runtime.cecsan_malloc rt st 16 done;
+        Alcotest.(check int) "tag" straddler (Vm.Layout46.tag_of !p);
+        let raw = Vm.Layout46.strip !p in
+        ignore (Vm.Memory.load mem raw 8 : int);
+        let pn = mem.Vm.Memory.last_pn in
+        Alcotest.(check int) "heap page cached" (Vm.Layout46.page_of raw) pn;
+        let r =
+          Runtime.check_deref rt st ~write:false ~size:8 ~site:(-1)
+            ~cost:Costs.check !p
+        in
+        Alcotest.(check int) "stripped" raw r;
+        Alcotest.(check int) "last_pn unchanged" pn mem.Vm.Memory.last_pn);
+    Alcotest.test_case "entry words and residency match Memory.load"
+      `Quick (fun () ->
+        let st = Vm.State.create () in
+        let mem = st.Vm.State.mem in
+        let t = Meta_table.create st in
+        let base k = Vm.Layout46.heap_base + (k * 32) in
+        for k = 1 to straddler do
+          ignore (Meta_table.alloc t ~base:(base k) ~size:16 : int)
+        done;
+        (* releasing 100 then 170 leaves 170 a negative next_id *)
+        Meta_table.release t 100;
+        Meta_table.release t straddler;
+        let load a = Vm.Memory.load mem a 8 in
+        let page a = Vm.Layout46.page_of (a - Vm.Layout46.meta_base) in
+        Alcotest.(check (list int)) "table pages of low/high/next_id"
+          [ 0; 0; 1 ]
+          (List.map (fun f -> page (entry_word straddler f)) [ 0; 1; 2 ]);
+        Alcotest.(check int) "low" (load (entry_word straddler 0))
+          (Meta_table.low t straddler);
+        Alcotest.(check int) "high" (load (entry_word straddler 1))
+          (Meta_table.high t straddler);
+        Alcotest.(check int) "next_id" (load (entry_word straddler 2))
+          (Meta_table.next_id t straddler);
+        Alcotest.(check int) "next_id is negative" (100 - straddler - 1)
+          (Meta_table.next_id t straddler);
+        (* a write leaves exactly the bytes Memory.store leaves, byte 7
+           included, for words whose bits 56..62 are set *)
+        let scratch = Vm.Layout46.heap_base in
+        List.iter
+          (fun v ->
+             Meta_table.set_next_id t straddler v;
+             Vm.Memory.store mem scratch 8 v;
+             Alcotest.(check string) (Printf.sprintf "bytes of %d" v)
+               (Vm.Memory.read_len mem scratch 8)
+               (Vm.Memory.read_len mem (entry_word straddler 2) 8);
+             Alcotest.(check int) "reads back" (load scratch)
+               (Meta_table.next_id t straddler))
+          [ -1; min_int; max_int; 1 lsl 61; -71 ];
+        (* the same words written through Memory.store alone touch the
+           same pages: table pages 0 and 1, plus the scratch word's *)
+        let st' = Vm.State.create () in
+        let mem' = st'.Vm.State.mem in
+        for i = 0 to straddler do
+          for f = 0 to 2 do Vm.Memory.store mem' (entry_word i f) 8 0 done
+        done;
+        Vm.Memory.store mem' scratch 8 0;
+        Alcotest.(check int) "resident_pages" mem'.Vm.Memory.resident_pages
+          mem.Vm.Memory.resident_pages;
+        Alcotest.(check int) "sanitizer_pages"
+          mem'.Vm.Memory.sanitizer_pages mem.Vm.Memory.sanitizer_pages;
+        Alcotest.(check int) "two table pages" 2
+          mem.Vm.Memory.sanitizer_pages);
+    Alcotest.test_case "gpt_load falls back to the aux word" `Quick
+      (fun () ->
+        let st = Vm.State.create () in
+        let rt, _ = Runtime.create () in
+        let slot = 5 in
+        Vm.Memory.store st.Vm.State.mem
+          (Vm.Layout46.aux_base + (slot * 8)) 8 0x1234;
+        Alcotest.(check int) "unregistered slot" 0x1234
+          (Runtime.gpt_load rt st slot);
+        Alcotest.(check int) "slot past the array" 0
+          (Runtime.gpt_load rt st 100_000));
+    Alcotest.test_case "global_make grows the GPT" `Quick (fun () ->
+        let st = Vm.State.create () in
+        let rt, _ = Runtime.create () in
+        let g = Vm.Layout46.globals_base in
+        let early = Runtime.global_make rt st ~slot:3 g 8 in
+        let slot = 2 * Array.length rt.Runtime.gpt in
+        let late = Runtime.global_make rt st ~slot (g + 64) 16 in
+        Alcotest.(check bool) "grown" true
+          (Array.length rt.Runtime.gpt > slot);
+        Alcotest.(check bool) "tagged" true (Vm.Layout46.tag_of late <> 0);
+        Alcotest.(check int) "late slot" late (Runtime.gpt_load rt st slot);
+        Alcotest.(check int) "early slot survives" early
+          (Runtime.gpt_load rt st 3);
+        Alcotest.(check int) "aux word" late
+          (Vm.Memory.load st.Vm.State.mem
+             (Vm.Layout46.aux_base + (slot * 8)) 8));
+  ]
+
 (* --- metadata table exhaustion (section V.1) ---------------------------------- *)
 
 let exhaustion_src = {|
@@ -693,5 +804,6 @@ let () =
       "preservation", preservation_tests;
       "optimizations", opt_tests;
       "meta-table", table_tests;
+      "page-path", page_path_tests;
       "exhaustion", exhaustion_tests;
     ]

@@ -8,12 +8,14 @@
    these numbers, rerun
 
      dune exec bench/main.exe -- --table 2 -j 4
+     dune exec bench/main.exe -- --table 4 -j 4
+     dune exec bench/main.exe -- --table 5 -j 4
      dune exec bench/main.exe -- --ablation -j 4
 
    and update BOTH the tables below and the matching tables in
-   EXPERIMENTS.md (sections "Table II" and "Ablation") in the same
-   commit.  A mismatch between this file and EXPERIMENTS.md is itself a
-   bug. *)
+   EXPERIMENTS.md (sections "Table II", "Table IV", "Table V" and
+   "Ablation") in the same commit.  A mismatch between this file and
+   EXPERIMENTS.md is itself a bug. *)
 
 let jobs = max 1 (min 4 (Domain.recommended_domain_count ()))
 
@@ -132,6 +134,44 @@ let ablation_golden () =
              (Harness.Stats.average rts))
         expected_ablation)
 
+(* --- Tables IV and V: aggregate runtime and memory overheads -------------- *)
+
+(* The aggregate rows EXPERIMENTS.md publishes, as
+   [(tool, runtime (avg, geo), memory (avg, geo))]; ASan-- shares ASan's
+   allocator, so only its runtime row is published.  The memory rows
+   move whenever a sanitizer page becomes resident that did not before. *)
+let expected_table4 =
+  [
+    "ASan", (99.6, 96.0), Some (189.9, 138.8);
+    "ASan--", (75.1, 70.1), None;
+    "CECSan", (173.6, 161.0), Some (1.4, 1.3);
+  ]
+
+let expected_table5 =
+  [
+    "ASan", (102.3, 97.9), Some (852.7, 106.9);
+    "ASan--", (80.2, 75.1), None;
+    "CECSan", (166.4, 157.3), Some (5.1, 4.9);
+  ]
+
+let perf_golden ~table workloads expected () =
+  let rows =
+    Harness.Pool.with_pool ~jobs (fun pool ->
+        Harness.Overhead.measure ~pool workloads)
+  in
+  List.iter
+    (fun (tool, (rt_avg, rt_geo), memory) ->
+       let (rta, rtg), (mea, meg) = Harness.Overhead.aggregates rows tool in
+       let what stat = Printf.sprintf "%s %s %s" table tool stat in
+       check_close ~what:(what "runtime avg") ~expected:rt_avg rta;
+       check_close ~what:(what "runtime geo") ~expected:rt_geo rtg;
+       Option.iter
+         (fun (me_avg, me_geo) ->
+            check_close ~what:(what "memory avg") ~expected:me_avg mea;
+            check_close ~what:(what "memory geo") ~expected:me_geo meg)
+         memory)
+    expected
+
 let () =
   Alcotest.run "golden"
     [
@@ -141,5 +181,11 @@ let () =
             table2_golden;
           Alcotest.test_case "ablation percentages pinned" `Slow
             ablation_golden;
+          Alcotest.test_case "table IV aggregates pinned" `Slow
+            (perf_golden ~table:"Table IV" Workloads.Spec2006.all
+               expected_table4);
+          Alcotest.test_case "table V aggregates pinned" `Slow
+            (perf_golden ~table:"Table V" Workloads.Spec2017.all
+               expected_table5);
         ] );
     ]

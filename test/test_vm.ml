@@ -256,7 +256,7 @@ let fault_tests =
       (function Vm.Report.Heap_corruption -> true | _ -> false);
     Alcotest.test_case "malloc past the heap returns NULL" `Quick (fun () ->
         (* C malloc: an exhausted heap is a NULL the program can check,
-           under the default allocator, CECSan's and ASan's, on both
+           under the default allocator and every tool's, on both
            backends *)
         let src =
           "int main() { char *p = (char*)malloc(500000000); \
@@ -273,7 +273,10 @@ let fault_tests =
                     Alcotest.failf "%s: expected exit 3, got %a" san.name
                       Vm.Machine.pp_outcome o)
                [ Vm.Machine.Interp; Vm.Machine.Jit ])
-          [ base; Cecsan.sanitizer (); Baselines.Asan.sanitizer () ]);
+          [ base; Cecsan.sanitizer (); Baselines.Asan.sanitizer ();
+            Baselines.Asan_minus.sanitizer (); Baselines.Hwasan.sanitizer ();
+            Baselines.Softbound_cets.sanitizer ();
+            Baselines.Pacmem.sanitizer (); Baselines.Cryptsan.sanitizer () ]);
     Alcotest.test_case "exit() builtin" `Quick (fun () ->
         let r = run "int main() { exit(7); return 0; }" in
         match r.Sanitizer.Driver.outcome with
