@@ -196,8 +196,8 @@ let run_fuzz_guided ?pool ?backend ~jobs n =
    accesses it proved covered (the translation-validation half of the
    section II.F story).  For tools carrying an absint model the table
    adds the abstract-interpretation facts proved over the optimized IR,
-   the elision witnesses replayed, and the wall time of the replay-side
-   absint runs; the whole grid (minus wall clock, which would break
+   the elision witnesses replayed, and the wall time of an absint run
+   over the optimized IR; the whole grid (minus wall clock, which would break
    byte-for-byte artifact determinism) lands in BENCH_verify.json. *)
 let run_verify () =
   section "Experiment: static verification (Tir.Verify, SPEC kernels)";
@@ -210,8 +210,8 @@ let run_verify () =
       Baselines.Pacmem.sanitizer ();
       Baselines.Cryptsan.sanitizer () ]
   in
-  (* independent absint run over the post-optimization module: the same
-     state the verifier replays witnesses against, counted as facts *)
+  (* an absint run over the post-optimization module, counting the check
+     sites whose pointer carries a fact *)
   let absint_facts (san : Sanitizer.Spec.t) md =
     match san.Sanitizer.Spec.verify with
     | Some { Tir.Verify.absint = Some model; hazard_intrinsics; _ } ->

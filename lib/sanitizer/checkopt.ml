@@ -308,7 +308,9 @@ type absint_stats = { elided : int; downgraded : int; facts : int }
    provably stays inside a live, non-escaping object is removed (Welide,
    both halves proved) or renamed to its spatial-only variant
    (Wdowngrade, temporal half proved) -- each carrying a
-   [Tir.Witness.t] that Verify independently replays on the result.
+   [Tir.Witness.t].  A function holding a witness also carries its
+   fixpoint as a [Tir.Witness.cert], which Verify checks in one pass on
+   the result before replaying the witnesses against it.
    Must run LAST among the check optimizations: the earlier passes key
    on the original check names.
 
@@ -330,6 +332,7 @@ let absint (md : modul) (spec : spec) : absint_stats =
         if not f.f_external then begin
           let su = Tir.Absint.analyze ctx f in
           facts := !facts + su.Tir.Absint.su_facts;
+          let minted = !elided + !downgraded in
           Array.iter
             (fun b ->
                b.b_instrs <-
@@ -399,6 +402,10 @@ let absint (md : modul) (spec : spec) : absint_stats =
                             | _ -> [ i ]))
                       | _ -> [ i ])
                    b.b_instrs)
-            f.f_blocks
+            f.f_blocks;
+          (* the rewrites above keep every check's abstract effect, so
+             the fixpoint still holds on the result *)
+          if !elided + !downgraded > minted then
+            md.m_certs <- Tir.Absint.certificate su :: md.m_certs
         end);
     { elided = !elided; downgraded = !downgraded; facts = !facts }

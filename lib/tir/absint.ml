@@ -18,6 +18,13 @@
       propagated block by block in reverse postorder, widening after a
       bounded number of joins so termination needs no assumptions.
 
+   [check] replaces phase 3 for a verifier holding the fixpoint as a
+   certificate: phases 1 and 2 are re-run, then every reachable block
+   is transferred once from its claimed entry state, and each
+   successor's claimed state must cover the result.  A post-fixpoint
+   that passes is sound whatever iteration or widening produced it, so
+   the checker trusts only the transfer functions and [state_leq].
+
    Soundness notes bound to this VM (not real hardware):
 
    - OCaml/VM integer arithmetic wraps silently, so interval addition
@@ -34,8 +41,8 @@
 
 open Ir
 
-module Int_map = Map.Make (Int)
-module Int_set = Set.Make (Int)
+module Int_map = Witness.Int_map
+module Int_set = Witness.Int_set
 
 type size_rule = Sarg of int | Sprod of int * int
 
@@ -54,7 +61,7 @@ type model = {
   am_slots : bool;
 }
 
-type aval =
+type aval = Witness.aval =
   | Vtop
   | Vint of int * int
   | Vptr of { obj : int; lo : int; hi : int }
@@ -66,7 +73,7 @@ type obj = {
   mutable o_escapes : bool;
 }
 
-type state = {
+type state = Witness.state = {
   s_regs : aval Int_map.t;
   s_freed : Int_set.t;
 }
@@ -656,23 +663,49 @@ let transfer_block (fe : fenv) (b : block) (st0 : state)
 
 let widen_threshold = 3
 
-let analyze ?fuel (cx : ctx) (f : func) : summary =
+let initial = { s_regs = Int_map.empty; s_freed = Int_set.empty }
+
+(* Phases 1 and 2: the objects and the derivation/escape sets. *)
+let func_env ?fuel (cx : ctx) (f : func) : fenv =
   let objs, slot_obj, site_obj, call_obj, glob_obj = discover cx f in
   let derived, escaped =
     derive_and_escape ?fuel cx f ~objs ~slot_obj ~site_obj ~call_obj
       ~glob_obj
   in
-  let fe =
-    { fe_cx = cx; fe_objs = objs; fe_slot_obj = slot_obj;
-      fe_site_obj = site_obj; fe_call_obj = call_obj;
-      fe_glob_obj = glob_obj; fe_derived = derived; fe_escaped = escaped }
-  in
+  { fe_cx = cx; fe_objs = objs; fe_slot_obj = slot_obj;
+    fe_site_obj = site_obj; fe_call_obj = call_obj;
+    fe_glob_obj = glob_obj; fe_derived = derived; fe_escaped = escaped }
+
+(* The [transfer_block] hook recording the state before each intrinsic
+   site, counting check sites whose pointer carries a [Vptr] fact. *)
+let site_recorder (cx : ctx) sites facts site st i =
+  Hashtbl.replace sites site st;
+  match i with
+  | Iintrin { name; args = Reg p :: _; _ }
+    when List.mem_assoc name cx.cx_model.am_checks ->
+    (match regval st p with Vptr _ -> incr facts | _ -> ())
+  | _ -> ()
+
+(* Round-robin sweeps in reverse postorder until no entry state grows.
+   A sweep transfers only the blocks whose entry state changed since
+   their last transfer: entry states only grow and every successor
+   already covers a settled block's out-state, so re-transferring it
+   could update nothing.  Likewise an edge whose out-state is already
+   covered (out [= old iff join old out [= old) is skipped before the
+   join is built.  Neither changes which updates happen in
+   which sweep, so the states, the sweep count and the fuel burned are
+   those of the plain round robin. *)
+let analyze ?fuel (cx : ctx) (f : func) : summary =
+  let fe = func_env ?fuel cx f in
   let cfg = Cfg.build f in
   let nb = Array.length f.f_blocks in
   let in_state : state option array = Array.make nb None in
   let updates = Array.make nb 0 in
-  if nb > 0 then
-    in_state.(0) <- Some { s_regs = Int_map.empty; s_freed = Int_set.empty };
+  let dirty = Array.make nb false in
+  if nb > 0 then begin
+    in_state.(0) <- Some initial;
+    dirty.(0) <- true
+  end;
   let changed = ref true in
   while !changed do
     changed := false;
@@ -680,53 +713,115 @@ let analyze ?fuel (cx : ctx) (f : func) : summary =
     Array.iter
       (fun bid ->
          match in_state.(bid) with
-         | None -> ()
-         | Some st ->
+         | Some st when dirty.(bid) ->
+           dirty.(bid) <- false;
            let out = transfer_block fe f.f_blocks.(bid) st ~record:None in
            List.iter
              (fun succ ->
-                match in_state.(succ) with
-                | None ->
-                  in_state.(succ) <- Some out;
-                  changed := true
-                | Some old ->
-                  let j = join_state old out in
-                  if not (state_leq j old) then begin
+                let grown =
+                  match in_state.(succ) with
+                  | None -> Some out
+                  | Some old when state_leq out old -> None
+                  | Some old ->
                     updates.(succ) <- updates.(succ) + 1;
-                    in_state.(succ) <-
-                      Some
-                        (if updates.(succ) > widen_threshold then
-                           widen_state old j
-                         else j);
-                    changed := true
-                  end)
-             (successors f.f_blocks.(bid).b_term))
+                    let j = join_state old out in
+                    Some
+                      (if updates.(succ) > widen_threshold then
+                         widen_state old j
+                       else j)
+                in
+                match grown with
+                | None -> ()
+                | Some s ->
+                  in_state.(succ) <- Some s;
+                  dirty.(succ) <- true;
+                  changed := true)
+             (successors f.f_blocks.(bid).b_term)
+         | _ -> ())
       cfg.Cfg.rpo
   done;
   let sites : (int, state) Hashtbl.t = Hashtbl.create 32 in
   let facts = ref 0 in
+  let record = site_recorder cx sites facts in
   Array.iter
     (fun bid ->
        match in_state.(bid) with
        | None -> ()
        | Some st ->
          ignore
-           (transfer_block fe f.f_blocks.(bid) st
-              ~record:
-                (Some
-                   (fun site st i ->
-                      Hashtbl.replace sites site st;
-                      match i with
-                      | Iintrin { name; args = Reg p :: _; _ }
-                        when List.mem_assoc name cx.cx_model.am_checks ->
-                        (match regval st p with
-                         | Vptr _ -> incr facts
-                         | _ -> ())
-                      | _ -> ())))
-         |> ignore)
+           (transfer_block fe f.f_blocks.(bid) st ~record:(Some record)))
     cfg.Cfg.rpo;
-  { su_func = f.f_name; su_objs = objs; su_block_in = in_state;
+  { su_func = f.f_name; su_objs = fe.fe_objs; su_block_in = in_state;
     su_sites = sites; su_facts = !facts }
+
+let certificate (su : summary) : Witness.cert =
+  { Witness.c_func = su.su_func;
+    c_objs = Array.map (fun o -> (o.o_desc, o.o_size)) su.su_objs;
+    c_block_in = su.su_block_in }
+
+(* --- certificate check -------------------------------------------------- *)
+
+exception Reject of string
+
+let check ?fuel (cx : ctx) (c : Witness.cert) (f : func) :
+  (summary, string) result =
+  let fe = func_env ?fuel cx f in
+  let objs = fe.fe_objs in
+  let nb = Array.length f.f_blocks in
+  let claimed = c.Witness.c_block_in in
+  let same_obj (o : obj) (desc, size) =
+    String.equal o.o_desc desc && o.o_size = size
+  in
+  if
+    Array.length c.Witness.c_objs <> Array.length objs
+    || not (Array.for_all2 same_obj objs c.Witness.c_objs)
+  then Error "object descriptors differ from the rediscovered ones"
+  else if Array.length claimed <> nb then
+    Error
+      (Printf.sprintf "%d claimed block states for %d blocks"
+         (Array.length claimed) nb)
+  else begin
+    let cfg = Cfg.build f in
+    Fuel.burn fuel (Array.length cfg.Cfg.rpo);
+    let sites : (int, state) Hashtbl.t = Hashtbl.create 32 in
+    let facts = ref 0 in
+    let record = site_recorder cx sites facts in
+    match
+      if nb > 0 then
+        (match claimed.(0) with
+         | Some st when state_leq initial st -> ()
+         | _ -> raise (Reject "entry state does not cover the initial state"));
+      Array.iter
+        (fun bid ->
+           match claimed.(bid) with
+           | None ->
+             raise
+               (Reject
+                  (Printf.sprintf "reachable block b%d has no claimed state"
+                     bid))
+           | Some st ->
+             let out =
+               transfer_block fe f.f_blocks.(bid) st ~record:(Some record)
+             in
+             List.iter
+               (fun succ ->
+                  match claimed.(succ) with
+                  | Some s when state_leq out s -> ()
+                  | _ ->
+                    raise
+                      (Reject
+                         (Printf.sprintf
+                            "claimed state of b%d does not cover the \
+                             out-state of b%d"
+                            succ bid)))
+               (successors f.f_blocks.(bid).b_term))
+        cfg.Cfg.rpo
+    with
+    | () ->
+      Ok { su_func = f.f_name; su_objs = objs; su_block_in = claimed;
+           su_sites = sites; su_facts = !facts }
+    | exception Reject what -> Error what
+  end
 
 (* --- pretty printing ---------------------------------------------------- *)
 

@@ -16,11 +16,13 @@
     intrinsics check, allocate, free, alias or are metadata-neutral --
     so the same interpreter serves any tool that provides one.
     [Sanitizer.Checkopt] uses the results to elide or downgrade checks
-    (each with a {!Witness.t}), and [Tir.Verify] independently re-runs
-    the analysis on the post-optimization IR to replay every witness. *)
+    (each with a {!Witness.t}) and exports the fixpoint as a
+    {!Witness.cert}; [Tir.Verify] {!check}s that certificate on the
+    post-optimization IR in one pass and replays every witness against
+    the checked states. *)
 
-module Int_map : Map.S with type key = int
-module Int_set : Set.S with type elt = int
+module Int_map = Witness.Int_map
+module Int_set = Witness.Int_set
 
 (** How a modeled allocator derives its byte size from its argument
     list: [Sarg k] reads argument [k], [Sprod (i, j)] multiplies
@@ -65,12 +67,11 @@ type model = {
           tool relocates slot data, e.g. redzone-padded slots) *)
 }
 
-(** Abstract value of a register. *)
-type aval =
-  | Vtop  (** unknown *)
-  | Vint of int * int  (** integer in [lo, hi] *)
+(** Abstract value of a register (see {!Witness.aval}). *)
+type aval = Witness.aval =
+  | Vtop
+  | Vint of int * int
   | Vptr of { obj : int; lo : int; hi : int }
-      (** pointer into object [obj] at byte offset in [lo, hi] *)
 
 (** An abstract object.  [o_desc] is a stable descriptor (stable across
     Checkopt's own rewrites, so optimizer and verifier agree):
@@ -83,9 +84,9 @@ type obj = {
   mutable o_escapes : bool;
 }
 
-type state = {
-  s_regs : aval Int_map.t;  (** missing register = [Vtop] *)
-  s_freed : Int_set.t;      (** objects a free may have released *)
+type state = Witness.state = {
+  s_regs : aval Int_map.t;
+  s_freed : Int_set.t;
 }
 
 type summary = {
@@ -108,7 +109,23 @@ val make_ctx : model -> pure:(string -> bool) -> Ir.modul -> ctx
 
 val analyze : ?fuel:Fuel.t -> ctx -> Ir.func -> summary
 (** Run all three domains to fixpoint (widening after a bounded number
-    of joins per block, so termination is unconditional). *)
+    of joins per block, so termination is unconditional).  [fuel] pays
+    the block count once per derivation sweep and once per flow sweep. *)
+
+val certificate : summary -> Witness.cert
+(** The fixpoint's block-entry states and the descriptors of the
+    objects they index. *)
+
+val check :
+  ?fuel:Fuel.t -> ctx -> Witness.cert -> Ir.func -> (summary, string) result
+(** One-pass certificate check, the verifier's replacement for
+    {!analyze}.  Rediscovers the objects and derivation/escape sets
+    (whose descriptors must equal the certificate's), requires the entry
+    state to cover the initial state, transfers every reachable block
+    once from its claimed state and requires each successor's claimed
+    state to cover the result.  No join, no widening, no iteration: the
+    summary's site states are recorded on the way.  [fuel] pays the
+    derivation sweeps plus one block-count burn. *)
 
 val regval : state -> int -> aval
 

@@ -113,6 +113,8 @@ type modul = {
   mutable m_next_site : int;     (* generator for Iintrin site ids *)
   mutable m_witnesses : Witness.t list;
     (* elision certificates attached by Checkopt, replayed by Verify *)
+  mutable m_certs : Witness.cert list;
+    (* Checkopt's fixpoint per witnessed function, checked by Verify *)
   mutable m_vcache : vm_cache list;
 }
 
@@ -172,6 +174,7 @@ let clone m =
     m_layouts = Hashtbl.copy m.m_layouts;
     m_next_site = m.m_next_site;
     m_witnesses = m.m_witnesses;
+    m_certs = m.m_certs;
     (* a clone is made to be mutated: cached derived code of the
        original must never leak into it *)
     m_vcache = [];

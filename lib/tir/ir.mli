@@ -107,7 +107,11 @@ type modul = {
   mutable m_witnesses : Witness.t list;
       (** elision certificates attached by the optimizer (Checkopt's
           absint phase); {!clone} shares the list, and [Verify] replays
-          every entry in Strict mode *)
+          every entry in Strict mode against the checked {!m_certs} *)
+  mutable m_certs : Witness.cert list;
+      (** the optimizer's fixpoint for each function holding a witness;
+          [Verify] checks it in one pass instead of re-running the
+          analysis, and {!clone} shares the list like [m_witnesses] *)
   mutable m_vcache : vm_cache list;
       (** derived-code memos; see {!vm_cache} and {!clear_vcache} *)
 }

@@ -17,8 +17,10 @@ type spec = {
       strip intrinsic *)
   absint : Absint.model option;
   (** abstract-interpretation model of the tool's intrinsics.  When
-      set, every {!Witness.t} on the module is replayed against an
-      independent [Absint] run over the post-optimization IR, validated
+      set, the {!Witness.cert} of each function holding a witness is
+      checked in one pass over the post-optimization IR
+      ({!Absint.check}; a missing certificate is an error), every
+      {!Witness.t} is replayed against the checked states, validated
       witnesses regenerate the elided checks' coverage facts, and every
       spatial-only (downgraded) check site must carry a valid
       downgrade certificate.  [None] rejects any witness outright. *)

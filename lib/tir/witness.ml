@@ -2,13 +2,22 @@
 
    Every check that Checkopt's absint phase elides or downgrades carries
    one of these records -- the exact abstract facts the optimizer used.
-   Tir.Verify replays each witness against its own independent run of
-   Tir.Absint on the *post-optimization* IR: the claimed facts must be
-   re-derivable (the derived interval must be contained in the claimed
-   one, the object must be live and non-escaping, the claimed bounds
-   must imply in-bounds access).  A witness that cannot be re-proved is
-   a build error in Strict mode, so the optimizer can never silently
-   drop coverage (DESIGN.md section 16). *)
+   Alongside them, each function holding a witness carries a [cert]:
+   the optimizer's fixpoint itself, i.e. the abstract state at every
+   block entry and the objects those states name.  Tir.Verify checks the
+   certificate in one forward pass over the *post-optimization* IR (no
+   iteration, no widening: each block's transfer from its claimed state
+   must be covered by every successor's claimed state) and replays each
+   witness against the checked site states: the derived interval must
+   be contained in the claimed one, the object must be live and
+   non-escaping, the claimed bounds must imply in-bounds access.  A
+   witness or certificate that does not check is a build error in
+   Strict mode, so the optimizer can never silently drop coverage
+   (DESIGN.md section 16).
+
+   The lattice types live here rather than in Tir.Absint because the
+   certificate rides on the module ([Ir.m_certs]) and Ir sits below the
+   abstract interpreter. *)
 
 type kind =
   | Welide      (* check removed outright: spatial + temporal both proved *)
@@ -40,3 +49,24 @@ let pp fmt w =
     w.w_lo w.w_hi w.w_objsize
     (if w.w_temporal then " temporal-safe" else "")
     (if w.w_escapes then " ESCAPES" else "")
+
+(* --- certificates --------------------------------------------------------- *)
+
+module Int_map = Map.Make (Int)
+module Int_set = Set.Make (Int)
+
+type aval =
+  | Vtop
+  | Vint of int * int
+  | Vptr of { obj : int; lo : int; hi : int }
+
+type state = {
+  s_regs : aval Int_map.t;
+  s_freed : Int_set.t;
+}
+
+type cert = {
+  c_func : string;
+  c_objs : (string * int) array;
+  c_block_in : state option array;
+}

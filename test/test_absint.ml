@@ -1,7 +1,8 @@
 (* Tests of the certified-elision pipeline (DESIGN.md section 16):
    Tir.Absint behavior through the CECSan and ASan-- pipelines, the
    Tir.Scev overflow-guarded endpoint helpers, witness-replay mutation
-   kills, and the absint-on/off differential property. *)
+   kills, the pinned fixpoint results and fuel of the engine, and the
+   absint-on/off differential property. *)
 
 let seed_gen = QCheck.(map abs int)
 
@@ -193,14 +194,13 @@ let scev_tests =
 
 (* Build the instrumented+optimized module WITHOUT the driver's Strict
    gate, so a mutation can be planted before verification. *)
-let build_unverified src =
+let build_unverified ?(san = Cecsan.sanitizer ()) src =
   let md = Sanitizer.Driver.compile_cached ~optimize:true src in
-  let san = Cecsan.sanitizer () in
   san.Sanitizer.Spec.instrument md;
   san.Sanitizer.Spec.optimize md;
   md
 
-let verify md = Tir.Verify.check ~spec:Cecsan.Opt.spec md
+let verify ?(spec = Cecsan.Opt.spec) md = Tir.Verify.check ~spec md
 
 let mutate_first f (md : Tir.Ir.modul) =
   match md.Tir.Ir.m_witnesses with
@@ -212,16 +212,103 @@ let expect_reject what md =
   Alcotest.(check bool) (what ^ " rejected") true
     (r.Tir.Verify.r_errors <> [])
 
+let expect_clean ?spec md =
+  let r = verify ?spec md in
+  Alcotest.(check (list string)) "no errors" []
+    (List.map Tir.Verify.error_to_string r.Tir.Verify.r_errors);
+  Alcotest.(check bool) "witnesses replayed" true
+    (r.Tir.Verify.r_witnesses > 0)
+
+(* a pointer walking an array: the loop header's claimed offset
+   interval is the widened one, and the store after the loop still
+   mints a witness, so [main] carries a certificate *)
+let loop_src =
+  "int main() { int a[8]; int *p = a; \
+   for (int i = 0; i < 8; i++) { *p = i; p = p + 1; } \
+   a[0] = 1; return a[0]; }"
+
+(* a free followed by a branch: the blocks after [free(p)] claim p's
+   object in their freed set *)
+let free_src =
+  "int main() { int *p = (int*)malloc(8); int *q = (int*)malloc(8); \
+   p[0] = 1; q[0] = 2; free(p); if (q[0] > 1) { q[1] = 3; } \
+   int r = q[0] + q[1]; free(q); return r; }"
+
+(* Replace the certificate of [main] by [f] of it. *)
+let forge_main_cert f (md : Tir.Ir.modul) =
+  let forged = ref false in
+  md.Tir.Ir.m_certs <-
+    List.map
+      (fun (c : Tir.Witness.cert) ->
+         if String.equal c.Tir.Witness.c_func "main" && not !forged then begin
+           forged := true;
+           f c
+         end
+         else c)
+      md.Tir.Ir.m_certs;
+  if not !forged then Alcotest.fail "expected a certificate for main"
+
+(* The certificate with the claimed state of every block [pick] allows
+   replaced by [g] of it, where [g] finds something to forge; fails the
+   test when it finds nothing anywhere. *)
+let forge_state ~pick g (c : Tir.Witness.cert) =
+  let hit = ref false in
+  let states =
+    Array.mapi
+      (fun bid st ->
+         match st with
+         | Some s when pick bid ->
+           (match g s with
+            | Some s' -> hit := true; Some s'
+            | None -> st)
+         | _ -> st)
+      c.Tir.Witness.c_block_in
+  in
+  if not !hit then Alcotest.fail "nothing to forge in the certificate";
+  { c with Tir.Witness.c_block_in = states }
+
+let loop_headers (md : Tir.Ir.modul) =
+  match Tir.Ir.find_func md "main" with
+  | None -> Alcotest.fail "no main"
+  | Some f ->
+    let cfg = Tir.Cfg.build f in
+    List.map (fun l -> l.Tir.Cfg.header)
+      (Tir.Cfg.loops f cfg (Tir.Cfg.dominators cfg))
+
+(* Narrow the first binding with a non-singleton interval to the single
+   offset in it nearest 0: for the walking pointer that is its value on
+   loop entry, so only the back edge can refute the claim -- the
+   certificate a fixpoint that forgot to widen would produce. *)
+let narrow_one (st : Tir.Witness.state) =
+  let open Tir.Witness in
+  let wide =
+    Int_map.filter
+      (fun _ v ->
+         match v with
+         | Vint (l, h) -> l < h
+         | Vptr { lo; hi; _ } -> lo < hi
+         | Vtop -> false)
+      st.s_regs
+  in
+  match Int_map.min_binding_opt wide with
+  | None -> None
+  | Some (r, v) ->
+    let near0 l h = max l (min h 0) in
+    let v' =
+      match v with
+      | Vint (l, h) -> Vint (near0 l h, near0 l h)
+      | Vptr p -> Vptr { p with lo = near0 p.lo p.hi; hi = near0 p.lo p.hi }
+      | Vtop -> Vtop
+    in
+    Some { st with s_regs = Int_map.add r v' st.s_regs }
+
 let witness_tests =
   [
     Alcotest.test_case "intact witnesses replay clean" `Quick
       (fun () ->
-         let md = build_unverified demo_src in
-         let r = verify md in
-         Alcotest.(check (list string)) "no errors" []
-           (List.map Tir.Verify.error_to_string r.Tir.Verify.r_errors);
-         Alcotest.(check bool) "witnesses replayed" true
-           (r.Tir.Verify.r_witnesses > 0));
+         expect_clean (build_unverified demo_src);
+         expect_clean (build_unverified loop_src);
+         expect_clean (build_unverified free_src));
     Alcotest.test_case "wrong interval bound is killed" `Quick
       (fun () ->
          let md = build_unverified demo_src in
@@ -250,6 +337,72 @@ let witness_tests =
          let md = build_unverified demo_src in
          mutate_first (fun w -> { w with Tir.Witness.w_site = 999999 }) md;
          expect_reject "dangling site" md);
+    Alcotest.test_case "narrowed loop-header interval is killed" `Quick
+      (fun () ->
+         let md = build_unverified loop_src in
+         let headers = loop_headers md in
+         forge_main_cert
+           (forge_state ~pick:(fun b -> List.mem b headers) narrow_one)
+           md;
+         expect_reject "narrowed loop header" md);
+    Alcotest.test_case "freed object dropped after a free is killed" `Quick
+      (fun () ->
+         let md = build_unverified free_src in
+         forge_main_cert
+           (forge_state ~pick:(fun _ -> true) (fun st ->
+                match Tir.Witness.Int_set.min_elt_opt st.Tir.Witness.s_freed
+                with
+                | None -> None
+                | Some o ->
+                  Some
+                    { st with
+                      Tir.Witness.s_freed =
+                        Tir.Witness.Int_set.remove o st.Tir.Witness.s_freed }))
+           md;
+         expect_reject "dropped freed object" md);
+    Alcotest.test_case "entry state assuming a fact is killed" `Quick
+      (fun () ->
+         let md = build_unverified demo_src in
+         forge_main_cert
+           (forge_state ~pick:(fun b -> b = 0) (fun st ->
+                Some
+                  { st with
+                    Tir.Witness.s_regs =
+                      Tir.Witness.Int_map.add 0 (Tir.Witness.Vint (7, 7))
+                        st.Tir.Witness.s_regs }))
+           md;
+         expect_reject "entry assumption" md);
+    Alcotest.test_case "deleted certificate is killed" `Quick
+      (fun () ->
+         let md = build_unverified demo_src in
+         md.Tir.Ir.m_certs <- [];
+         expect_reject "missing certificate" md);
+    Alcotest.test_case "mismatched object descriptors are killed" `Quick
+      (fun () ->
+         let md = build_unverified demo_src in
+         forge_main_cert
+           (fun c ->
+              let objs = Array.copy c.Tir.Witness.c_objs in
+              let desc, size = objs.(0) in
+              objs.(0) <- (desc, size + 8);
+              { c with Tir.Witness.c_objs = objs })
+           md;
+         expect_reject "resized object" md;
+         let md = build_unverified demo_src in
+         forge_main_cert
+           (fun c ->
+              { c with
+                Tir.Witness.c_objs =
+                  Array.append c.Tir.Witness.c_objs [| ("slot:bogus:9", 4) |] })
+           md;
+         expect_reject "extra object" md);
+    Alcotest.test_case "certificates survive Ir.clone" `Quick
+      (fun () -> expect_clean (Tir.Ir.clone (build_unverified loop_src)));
+    Alcotest.test_case "asan-- certificates check clean" `Quick
+      (fun () ->
+         expect_clean ~spec:Baselines.Asan_minus.spec
+           (build_unverified ~san:(Baselines.Asan_minus.sanitizer ())
+              free_src));
     Alcotest.test_case "deleting witnesses shrinks proven coverage" `Quick
       (fun () ->
          let base = build_unverified demo_src in
@@ -262,6 +415,104 @@ let witness_tests =
            true
            (r.Tir.Verify.r_covered < covered_base));
   ]
+
+(* --- engine identity: pinned fixpoint states and fuel --------------------- *)
+
+(* Every function of the regression corpus and the SPEC-like kernels,
+   optimized under each tool with an absint model, is analyzed once
+   more; the MD5 of [Absint.pp_summary] and the fuel [analyze] burns are
+   compared with test/absint.digests.  A change to the fixpoint engine
+   (iteration order, skipped work, widening) must leave both intact.
+
+   UPDATING THE DIGESTS: only an intentional change of the abstract
+   domains may do so.  A failing case prints the measured table for its
+   tool; replace that tool's lines in absint.digests with it. *)
+
+(* under [dune test] the data sits next to the binary; under
+   [dune exec test/test_absint.exe] the cwd is the repository root *)
+let dir = if Sys.file_exists "absint.digests" then "." else "test"
+
+let engine_programs : (string * string) list =
+  let corpus_dir = Filename.concat dir "corpus" in
+  let corpus =
+    Sys.readdir corpus_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".mc")
+    |> List.sort compare
+    |> List.map (fun f ->
+        (f, In_channel.with_open_bin (Filename.concat corpus_dir f)
+              In_channel.input_all))
+  in
+  corpus
+  @ List.map
+    (fun w -> (w.Workloads.Spec2006.w_name, w.Workloads.Spec2006.w_source))
+    Workloads.Spec2006.all
+  @ List.map
+    (fun w -> (w.Workloads.Spec2017.w_name, w.Workloads.Spec2017.w_source))
+    Workloads.Spec2017.all
+
+(* one "<tool> <program> <function> <md5> <fuel>" line per function, or
+   "<tool> <program> unsupported" *)
+let engine_table (san : Sanitizer.Spec.t) =
+  let model, hazards =
+    match san.Sanitizer.Spec.verify with
+    | Some { Tir.Verify.absint = Some m; hazard_intrinsics; _ } ->
+      (m, hazard_intrinsics)
+    | _ -> Alcotest.failf "%s carries no absint model" san.Sanitizer.Spec.name
+  in
+  List.concat_map
+    (fun (prog, src) ->
+       let md = Sanitizer.Driver.compile_cached ~optimize:true src in
+       match san.Sanitizer.Spec.instrument md with
+       | exception Sanitizer.Spec.Unsupported _ ->
+         [ Printf.sprintf "%s %s unsupported" san.Sanitizer.Spec.name prog ]
+       | () ->
+         san.Sanitizer.Spec.optimize md;
+         let pure =
+           Tir.Analysis.pure_callees md ~is_hazard:(fun n -> List.mem n hazards)
+         in
+         let cx = Tir.Absint.make_ctx model ~pure md in
+         let rows = ref [] in
+         Tir.Ir.iter_funcs md (fun f ->
+             if not f.Tir.Ir.f_external then begin
+               let fuel = Tir.Fuel.make ~phase:"absint" ~budget:max_int in
+               let su = Tir.Absint.analyze ~fuel cx f in
+               rows :=
+                 Printf.sprintf "%s %s %s %s %d" san.Sanitizer.Spec.name prog
+                   f.Tir.Ir.f_name
+                   (Digest.to_hex
+                      (Digest.string
+                         (Format.asprintf "%a" Tir.Absint.pp_summary su)))
+                   (max_int - Tir.Fuel.remaining fuel)
+                 :: !rows
+             end);
+         List.rev !rows)
+    engine_programs
+
+let engine_expected : string list Lazy.t =
+  lazy
+    (In_channel.with_open_bin (Filename.concat dir "absint.digests")
+       In_channel.input_all
+     |> String.split_on_char '\n'
+     |> List.filter (fun l -> l <> ""))
+
+let engine_tests =
+  List.map
+    (fun (san : Sanitizer.Spec.t) ->
+       let label = san.Sanitizer.Spec.name in
+       Alcotest.test_case (label ^ " states and fuel unchanged") `Quick
+         (fun () ->
+            let want =
+              List.filter
+                (String.starts_with ~prefix:(label ^ " "))
+                (Lazy.force engine_expected)
+            in
+            let got = engine_table san in
+            if got <> want then begin
+              List.iter prerr_endline got;
+              Alcotest.failf "%s: absint results differ from absint.digests \
+                              (measured table above)" label
+            end))
+    [ Cecsan.sanitizer (); Baselines.Asan_minus.sanitizer () ]
 
 (* --- absint-on/off differential property ---------------------------------- *)
 
@@ -330,5 +581,6 @@ let () =
       ("elision", absint_tests);
       ("scev-endpoints", scev_tests);
       ("witness-replay", witness_tests);
+      ("engine-pin", engine_tests);
       ("differential", differential_tests);
     ]
