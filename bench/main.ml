@@ -1,6 +1,6 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation section (DESIGN.md experiment index), plus the
-   optimization ablation, the fuzz/serve/verify/perf grids that write
+   optimization ablation, the fuzz/resilience/verify grids that write
    the BENCH_*.json artifacts, and bechamel microbenchmarks of the core
    runtime data structures.
 
@@ -300,110 +300,6 @@ let run_verify () =
                rows)) ]);
   Format.printf "@.Verification grid written to %s@." file
 
-(* --perf: the backend perf trajectory.  Each SPEC2006 kernel runs on
-   both backends (uninstrumented and under CECSan), best-of-N after a
-   warmup run per backend so resolution and jit-compile caches are
-   steady-state, and the grid is written to BENCH_perf.json (schema in
-   EXPERIMENTS.md).  The headline geomean is the uninstrumented grid:
-   that is the dispatch-bound configuration the jit targets, while
-   sanitizer intrinsic work is backend-invariant and dilutes the
-   ratio identically on both backends. *)
-let perf_done = ref false
-
-let run_perf () =
-  perf_done := true;
-  section "Experiment: backend perf trajectory (interp vs jit)";
-  let reps = 5 in
-  let configs =
-    [ ("none", Sanitizer.Spec.none); ("cecsan", Cecsan.sanitizer ()) ]
-  in
-  let rows =
-    timed "perf-grid" (fun () ->
-        List.concat_map
-          (fun (sname, san) ->
-             List.map
-               (fun (w : Workloads.Spec2006.t) ->
-                  let md =
-                    Sanitizer.Driver.build san w.Workloads.Spec2006.w_source
-                  in
-                  let bench backend =
-                    ignore (Sanitizer.Driver.run_module san ~backend md);
-                    let best = ref infinity in
-                    for _ = 1 to reps do
-                      let t0 = Unix.gettimeofday () in
-                      ignore (Sanitizer.Driver.run_module san ~backend md);
-                      let dt = Unix.gettimeofday () -. t0 in
-                      if dt < !best then best := dt
-                    done;
-                    !best
-                  in
-                  let ti = bench Vm.Machine.Interp in
-                  let tj = bench Vm.Machine.Jit in
-                  (sname, w.Workloads.Spec2006.w_name, ti, tj, ti /. tj))
-               Workloads.Spec2006.all)
-          configs)
-  in
-  Format.printf "  %-8s %-14s %12s %12s %9s@." "config" "kernel" "interp"
-    "jit" "speedup";
-  List.iter
-    (fun (s, k, ti, tj, r) ->
-       Format.printf "  %-8s %-14s %9.1f ms %9.1f ms %8.2fx@." s k
-         (ti *. 1000.) (tj *. 1000.) r)
-    rows;
-  let geo sname =
-    let rs =
-      List.filter_map
-        (fun (s, _, _, _, r) -> if String.equal s sname then Some r else None)
-        rows
-    in
-    exp (List.fold_left (fun a r -> a +. log r) 0. rs /. float (List.length rs))
-  in
-  let g_none = geo "none" and g_cecsan = geo "cecsan" in
-  Format.printf "@.  geomean speedup: %.2fx uninstrumented, %.2fx under \
-                 CECSan@."
-    g_none g_cecsan;
-  let file = "BENCH_perf.json" in
-  Harness.Jsonio.write_json ~path:file
-    (Json.Obj
-       [ ("schema", Json.Str "cecsan-bench-perf/1");
-         ("reps", Json.Int reps);
-         ("kernels",
-          Json.List
-            (List.map
-               (fun (s, k, ti, tj, r) ->
-                  Json.Obj
-                    [ ("kernel", Json.Str k); ("sanitizer", Json.Str s);
-                      ("interp_ms", Json.Float (ti *. 1000.));
-                      ("jit_ms", Json.Float (tj *. 1000.));
-                      ("speedup", Json.Float r) ])
-               rows));
-         ("geomean_speedup", Json.Float g_none);
-         ("geomean_speedup_by_sanitizer",
-          Json.Obj
-            [ ("none", Json.Float g_none); ("cecsan", Json.Float g_cecsan) ])
-       ]);
-  Format.printf "  Perf grid written to %s@." file
-
-(* --serve-sim N: replay N synthetic queued requests through the
-   Serve engine under the deterministic simulated clock and emit the
-   BENCH_serve.json latency/throughput artifact.  Every number is
-   byte-identical at any -j: the queue model runs on sc_workers
-   SIMULATED servers, real domains only gather service times faster. *)
-let run_serve_sim ?pool ?backend ~sim_workers ~serve_batch n =
-  section "Experiment: serve load simulation";
-  let cfg =
-    { (Serve.Sim.default_cfg ~seed:!run_seed ~requests:n) with
-      Serve.Sim.sc_workers = sim_workers;
-      sc_batch = serve_batch;
-      sc_backend = backend }
-  in
-  let report = timed "serve-sim" (fun () -> Serve.Sim.run ?pool cfg) in
-  absorb report.Serve.Sim.sr_aggregate.Serve.Engine.agg_snapshot;
-  Serve.Sim.render fmt report;
-  let file = "BENCH_serve.json" in
-  Serve.Sim.write_json ~path:file report;
-  Format.printf "@.Serve simulation written to %s@." file
-
 (* --smoke: a quick validation subset -- one overhead-table row, a few
    Juliet families -- for local sanity checks and CI. *)
 let run_smoke ?pool ?backend () =
@@ -522,8 +418,7 @@ let opt ?docv kind name doc =
   Arg.(value & opt (some kind) None & info [ name ] ?docv ~doc)
 
 let main jobs seed backend table fig ablation faults resilience micro fuzz
-    fuzz_guided serve_sim sim_workers serve_batch verify perf smoke profile
-    telemetry_json timings =
+    fuzz_guided verify smoke profile telemetry_json timings =
   (* Measurement runs report verifier findings instead of failing on
      them (the tests keep the Strict default). *)
   Sanitizer.Driver.verify_mode := Sanitizer.Driver.Warn;
@@ -552,14 +447,11 @@ let main jobs seed backend table fig ablation faults resilience micro fuzz
          else if resilience then run_resilience ?pool ?backend ()
          else if micro then microbenches ()
          else
-           match (fuzz, fuzz_guided, serve_sim) with
-           | Some n, _, _ -> run_fuzz ?pool ?backend ~jobs n
-           | None, Some n, _ -> run_fuzz_guided ?pool ?backend ~jobs n
-           | None, None, Some n ->
-             run_serve_sim ?pool ?backend ~sim_workers ~serve_batch n
-           | None, None, None ->
+           match (fuzz, fuzz_guided) with
+           | Some n, _ -> run_fuzz ?pool ?backend ~jobs n
+           | None, Some n -> run_fuzz_guided ?pool ?backend ~jobs n
+           | None, None ->
              if verify then run_verify ()
-             else if perf then run_perf ()
              else if smoke then run_smoke ?pool ?backend ()
              else if profile then begin
                (* bare --profile: the overhead tables, with hot-site
@@ -586,13 +478,7 @@ let main jobs seed backend table fig ablation faults resilience micro fuzz
              (Telemetry.Snapshot.to_value !merged_telemetry);
            Format.printf "@.Telemetry snapshot written to %s@." file)
         telemetry_json;
-      if timings then begin
-        (* --timings owns the perf-trajectory artifact: every timed
-           bench run also re-measures the interp-vs-jit grid so the
-           speedup is tracked PR-over-PR. *)
-        if not !perf_done then run_perf ();
-        report_timings ~jobs
-      end)
+      if timings then report_timings ~jobs)
 
 let cmd =
   let run_count = opt ~docv:"N" positive in
@@ -621,18 +507,8 @@ let cmd =
       $ run_count "fuzz-guided"
           "Coverage-guided campaign vs the blind baseline at the same \
            budget (BENCH_fuzzcov.json)."
-      $ run_count "serve-sim"
-          "N synthetic requests through the serve engine under the \
-           simulated clock (BENCH_serve.json)."
-      $ Arg.(value & opt positive 4
-             & info [ "sim-workers" ] ~docv:"C"
-                 ~doc:"Simulated servers for $(b,--serve-sim).")
-      $ Arg.(value & opt positive 16
-             & info [ "serve-batch" ] ~docv:"B"
-                 ~doc:"Batch size for $(b,--serve-sim).")
       $ flag "verify"
           "Tir.Verify coverage per SPEC kernel (BENCH_verify.json)."
-      $ flag "perf" "Interp-vs-jit wall-clock grid (BENCH_perf.json)."
       $ flag "smoke" "Quick validation subset."
       $ flag "profile"
           "Print each kernel's hottest CECSan check sites; on its own, \
@@ -640,8 +516,7 @@ let cmd =
       $ opt ~docv:"FILE" Arg.string "telemetry-json"
           "Write the session's merged telemetry snapshot as JSON \
            (identical across reruns and -j)."
-      $ flag "timings"
-          "Print wall clock per phase and write BENCH_perf.json.")
+      $ flag "timings" "Print wall clock per phase.")
   in
   Cmd.v
     (Cmd.info "bench"

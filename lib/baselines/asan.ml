@@ -356,32 +356,33 @@ let fresh_runtime ?(quarantine_cap = default_quarantine_cap) () :
     quarantine_cap;
     free_lists = Hashtbl.create 16;
   } in
-  let vrt = {
+  let intrinsic = function
+    | "__asan_check_load" -> Some (fun st a ->
+      check rt st ~write:false a.(0) a.(1);
+      0)
+    | "__asan_check_store" -> Some (fun st a ->
+      check rt st ~write:true a.(0) a.(1);
+      0)
+    | "__asan_poison" -> Some (fun st a ->
+      Vm.State.tick st (2 + (a.(1) / 8));
+      Shadow.poison st a.(0) a.(1) a.(2);
+      0)
+    | "__asan_unpoison" -> Some (fun st a ->
+      Vm.State.tick st (2 + (a.(1) / 8));
+      Shadow.unpoison st a.(0) a.(1);
+      0)
+    | _ -> None
+  in
+  {
     Vm.Runtime.rt_name = name;
-    intrinsics = Hashtbl.create 16;
+    intrinsic;
     malloc = Some (asan_malloc rt);
     free_ = Some (asan_free rt);
     intercept = interceptors rt;
     usable_size = Some (usable_size rt);
     tbi_bits = 0;
     at_exit = (fun _ -> ());
-  } in
-  let reg n f = Hashtbl.replace vrt.Vm.Runtime.intrinsics n f in
-  reg "__asan_check_load" (fun st a ->
-      check rt st ~write:false a.(0) a.(1);
-      0);
-  reg "__asan_check_store" (fun st a ->
-      check rt st ~write:true a.(0) a.(1);
-      0);
-  reg "__asan_poison" (fun st a ->
-      Vm.State.tick st (2 + (a.(1) / 8));
-      Shadow.poison st a.(0) a.(1) a.(2);
-      0);
-  reg "__asan_unpoison" (fun st a ->
-      Vm.State.tick st (2 + (a.(1) / 8));
-      Shadow.unpoison st a.(0) a.(1);
-      0);
-  vrt
+  }
 
 (* ASan performs no check optimization; the verifier spec still lets
    Tir.Verify prove every unsafe access sits behind its shadow check. *)

@@ -261,39 +261,42 @@ let interceptors : string -> Vm.Runtime.interceptor option = function
 let fresh_runtime () : Vm.Runtime.t =
   let rt = { last_tag = 0; blocks = Hashtbl.create 64 } in
   let globals : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let vrt = {
+  let intrinsic = function
+    | "__hwasan_check_load" ->
+      Some (fun st a -> check st ~write:false a.(0) a.(1); 0)
+    | "__hwasan_check_store" ->
+      Some (fun st a -> check st ~write:true a.(0) a.(1); 0)
+    | "__hwasan_tag_stack" -> Some (fun st a ->
+      let t = random_tag rt st in
+      set_granules st a.(0) a.(1) t;
+      Vm.State.tick st (4 + (a.(1) / granule));
+      with_tag a.(0) t)
+    | "__hwasan_untag_stack" -> Some (fun st a ->
+      set_granules st (strip a.(0)) a.(1) 0;
+      Vm.State.tick st (2 + (a.(1) / granule));
+      0)
+    | "__hwasan_tag_global" -> Some (fun st a ->
+      let t = random_tag rt st in
+      set_granules st a.(0) (max a.(1) 1) t;
+      Hashtbl.replace globals a.(2) (with_tag a.(0) t);
+      0)
+    | "__hwasan_global_addr" -> Some (fun st a ->
+      Vm.State.tick st 2;
+      match Hashtbl.find_opt globals a.(0) with
+      | Some tagged -> tagged
+      | None -> 0)
+    | _ -> None
+  in
+  {
     Vm.Runtime.rt_name = name;
-    intrinsics = Hashtbl.create 16;
+    intrinsic;
     malloc = Some (hw_malloc rt);
     free_ = Some (hw_free rt);
     intercept = interceptors;
     usable_size = Some (hw_usable rt);
     tbi_bits = 63 - tag_shift;
     at_exit = (fun _ -> ());
-  } in
-  let reg n f = Hashtbl.replace vrt.Vm.Runtime.intrinsics n f in
-  reg "__hwasan_check_load" (fun st a -> check st ~write:false a.(0) a.(1); 0);
-  reg "__hwasan_check_store" (fun st a -> check st ~write:true a.(0) a.(1); 0);
-  reg "__hwasan_tag_stack" (fun st a ->
-      let t = random_tag rt st in
-      set_granules st a.(0) a.(1) t;
-      Vm.State.tick st (4 + (a.(1) / granule));
-      with_tag a.(0) t);
-  reg "__hwasan_untag_stack" (fun st a ->
-      set_granules st (strip a.(0)) a.(1) 0;
-      Vm.State.tick st (2 + (a.(1) / granule));
-      0);
-  reg "__hwasan_tag_global" (fun st a ->
-      let t = random_tag rt st in
-      set_granules st a.(0) (max a.(1) 1) t;
-      Hashtbl.replace globals a.(2) (with_tag a.(0) t);
-      0);
-  reg "__hwasan_global_addr" (fun st a ->
-      Vm.State.tick st 2;
-      match Hashtbl.find_opt globals a.(0) with
-      | Some tagged -> tagged
-      | None -> 0);
-  vrt
+  }
 
 (* No check optimization; tag/untag operations are the metadata hazards. *)
 let verify_spec : Tir.Verify.spec = Sanitizer.Skeleton.verify_spec policy

@@ -242,28 +242,26 @@ let fresh_runtime (pol : policy) () : Vm.Runtime.t =
   let rt = create pol in
   let gpt : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let pre = pol.p_prefix in
-  let vrt = {
-    Vm.Runtime.rt_name = pol.p_name;
-    intrinsics = Hashtbl.create 24;
-    malloc = None;
-    free_ = None;
-    intercept = interceptors rt;
-    usable_size = None;
-    tbi_bits = 0;
-    at_exit = (fun _ -> ());
-  } in
-  let reg n f = Hashtbl.replace vrt.Vm.Runtime.intrinsics n f in
-  reg (pre ^ "_auth_load") (fun st a -> auth rt st ~write:false a.(0) a.(1));
-  reg (pre ^ "_auth_store") (fun st a -> auth rt st ~write:true a.(0) a.(1));
-  reg (pre ^ "_malloc") (fun st a -> pa_malloc rt st a.(0));
-  reg (pre ^ "_free") (fun st a -> pa_free rt st a.(0); 0);
-  reg (pre ^ "_calloc") (fun st a ->
+  (* every intrinsic name is [pre] followed by one of these suffixes *)
+  let intrinsic name =
+    let l = String.length pre in
+    let suffix =
+      if String.starts_with ~prefix:pre name then
+        String.sub name l (String.length name - l)
+      else ""
+    in
+    match suffix with
+    | "_auth_load" -> Some (fun st a -> auth rt st ~write:false a.(0) a.(1))
+    | "_auth_store" -> Some (fun st a -> auth rt st ~write:true a.(0) a.(1))
+    | "_malloc" -> Some (fun st a -> pa_malloc rt st a.(0))
+    | "_free" -> Some (fun st a -> pa_free rt st a.(0); 0)
+    | "_calloc" -> Some (fun st a ->
       let n = a.(0) * a.(1) in
       let p = pa_malloc rt st n in
       if p <> 0 then Vm.Memory.fill st.Vm.State.mem ~dst:(strip p) ~len:n 0;
       Vm.State.tick st (Vm.Cost.mem_op n);
-      p);
-  reg (pre ^ "_realloc") (fun st a ->
+      p)
+    | "_realloc" -> Some (fun st a ->
       let old = a.(0) and size = a.(1) in
       if old = 0 then pa_malloc rt st size
       else begin
@@ -304,31 +302,42 @@ let fresh_runtime (pol : policy) () : Vm.Runtime.t =
             Vm.Heap.free st raw;
             p
           end
-      end);
-  reg (pre ^ "_stack_seal") (fun st a ->
+      end)
+    | "_stack_seal" -> Some (fun st a ->
       Vm.State.tick st 9;
-      register rt a.(0) a.(1));
-  reg (pre ^ "_stack_retire") (fun st a ->
+      register rt a.(0) a.(1))
+    | "_stack_retire" -> Some (fun st a ->
       Vm.State.tick st 5;
       let id = tag_of rt a.(0) in
       (match Hashtbl.find_opt rt.entries id with
        | Some e when e.e_alive && e.e_base = strip a.(0) -> retire rt id
        | _ -> ());
-      0);
-  reg (pre ^ "_global_seal") (fun st a ->
+      0)
+    | "_global_seal" -> Some (fun st a ->
       let sealed = register rt a.(0) a.(1) in
       Hashtbl.replace gpt a.(2) sealed;
       Vm.State.tick st 8;
-      0);
-  reg (pre ^ "_gpt_load") (fun st a ->
+      0)
+    | "_gpt_load" -> Some (fun st a ->
       Vm.State.tick st 2;
       match Hashtbl.find_opt gpt a.(0) with
       | Some v -> v
-      | None -> 0);
-  reg (pre ^ "_strip") (fun st a ->
+      | None -> 0)
+    | "_strip" -> Some (fun st a ->
       Vm.State.tick st 2;
-      strip a.(0));
-  vrt
+      strip a.(0))
+    | _ -> None
+  in
+  {
+    Vm.Runtime.rt_name = pol.p_name;
+    intrinsic;
+    malloc = None;
+    free_ = None;
+    intercept = interceptors rt;
+    usable_size = None;
+    tbi_bits = 0;
+    at_exit = (fun _ -> ());
+  }
 
 (* No check optimization; the auth intrinsics produce the stripped
    address, and every pointer reaching uninstrumented code must route

@@ -288,26 +288,16 @@ let fresh_runtime () : Vm.Runtime.t =
     next_lock = 1;
     next_key = 1;
   } in
-  let vrt = {
-    Vm.Runtime.rt_name = name;
-    intrinsics = Hashtbl.create 16;
-    malloc = None;
-    free_ = None;
-    intercept = interceptors rt;
-    usable_size = None;
-    tbi_bits = 0;
-    at_exit = (fun _ -> ());
-  } in
-  let reg n f = Hashtbl.replace vrt.Vm.Runtime.intrinsics n f in
-  reg "__sb_malloc" (fun st a -> sb_malloc rt st a.(0));
-  reg "__sb_free" (fun st a -> sb_free rt st a.(0); 0);
-  reg "__sb_calloc" (fun st a ->
+  let intrinsic = function
+    | "__sb_malloc" -> Some (fun st a -> sb_malloc rt st a.(0))
+    | "__sb_free" -> Some (fun st a -> sb_free rt st a.(0); 0)
+    | "__sb_calloc" -> Some (fun st a ->
       let n = a.(0) * a.(1) in
       let p = sb_malloc rt st n in
       if p <> 0 then Vm.Memory.fill st.Vm.State.mem ~dst:p ~len:n 0;
       Vm.State.tick st (Vm.Cost.mem_op n);
-      p);
-  reg "__sb_realloc" (fun st a ->
+      p)
+    | "__sb_realloc" -> Some (fun st a ->
       let old = a.(0) and size = a.(1) in
       if old = 0 then sb_malloc rt st size
       else begin
@@ -336,45 +326,56 @@ let fresh_runtime () : Vm.Runtime.t =
             p
           end
         end
-      end);
-  reg "__sb_check_load" (fun st a ->
+      end)
+    | "__sb_check_load" -> Some (fun st a ->
       sb_check rt st ~write:false a.(0) a.(1);
-      0);
-  reg "__sb_check_store" (fun st a ->
+      0)
+    | "__sb_check_store" -> Some (fun st a ->
       sb_check rt st ~write:true a.(0) a.(1);
-      0);
-  reg "__sb_copy_meta" (fun st a ->
+      0)
+    | "__sb_copy_meta" -> Some (fun st a ->
       Vm.State.tick st 3;
       (match Hashtbl.find_opt rt.vmeta a.(1) with
        | Some m -> set_meta rt a.(0) m
        | None -> if a.(0) <> 0 then Hashtbl.remove rt.vmeta a.(0));
-      0);
-  reg "__sb_load_meta" (fun st a ->
+      0)
+    | "__sb_load_meta" -> Some (fun st a ->
       Vm.State.tick st 6;
       (match Hashtbl.find_opt rt.smeta a.(0) with
        | Some m -> set_meta rt a.(1) m
        | None -> ());
-      0);
-  reg "__sb_store_meta" (fun st a ->
+      0)
+    | "__sb_store_meta" -> Some (fun st a ->
       Vm.State.tick st 6;
       (match Hashtbl.find_opt rt.vmeta a.(1) with
        | Some m -> Hashtbl.replace rt.smeta a.(0) m
        | None -> Hashtbl.remove rt.smeta a.(0));
-      0);
-  reg "__sb_stack_create" (fun st a ->
+      0)
+    | "__sb_stack_create" -> Some (fun st a ->
       Vm.State.tick st 10;
       sb_create rt a.(0) a.(1);
-      0);
-  reg "__sb_stack_destroy" (fun st a ->
+      0)
+    | "__sb_stack_destroy" -> Some (fun st a ->
       Vm.State.tick st 6;
       let m = meta_of rt a.(0) in
       if m.lock <> 0 && m.base = a.(0) then revoke rt m.lock;
-      0);
-  reg "__sb_global_create" (fun st a ->
+      0)
+    | "__sb_global_create" -> Some (fun st a ->
       Vm.State.tick st 8;
       sb_create rt ~temporal:false a.(0) a.(1);
-      0);
-  vrt
+      0)
+    | _ -> None
+  in
+  {
+    Vm.Runtime.rt_name = name;
+    intrinsic;
+    malloc = None;
+    free_ = None;
+    intercept = interceptors rt;
+    usable_size = None;
+    tbi_bits = 0;
+    at_exit = (fun _ -> ());
+  }
 
 (* No check optimization; allocation/lifetime intrinsics invalidate the
    disjoint metadata a previous check relied on. *)

@@ -471,48 +471,43 @@ let interceptors rt : string -> Vm.Runtime.interceptor option =
 
 (* --- assembling the Vm.Runtime ------------------------------------------- *)
 
-let intrinsic_table rt : (string * Vm.Runtime.intrinsic) list =
-  [
-    (* args.(last) is always the site id appended by the machine *)
-    "__cecsan_check_load",
-    (fun st a ->
-       check_deref rt st ~write:false ~size:a.(1) ~site:a.(2)
-         ~cost:Costs.check a.(0));
-    "__cecsan_check_store",
-    (fun st a ->
-       check_deref rt st ~write:true ~size:a.(1) ~site:a.(2)
-         ~cost:Costs.check a.(0));
-    (* spatial-only downgrades (DESIGN.md 16): detection-identical to the
-       fused check -- same Algorithm 1 over the same entry -- at the lower
-       cost the statically-certified temporal half buys *)
-    "__cecsan_check_load_spatial",
-    (fun st a ->
-       check_deref rt st ~write:false ~size:a.(1) ~site:a.(2)
-         ~cost:Costs.check_spatial a.(0));
-    "__cecsan_check_store_spatial",
-    (fun st a ->
-       check_deref rt st ~write:true ~size:a.(1) ~site:a.(2)
-         ~cost:Costs.check_spatial a.(0));
-    "__cecsan_malloc", (fun st a -> cecsan_malloc rt st a.(0));
-    "__cecsan_free", (fun st a -> cecsan_free rt st a.(0); 0);
-    "__cecsan_calloc",
-    (fun st a ->
-       let n = a.(0) * a.(1) in
-       let p = cecsan_malloc rt st n in
-       if p <> 0 then Vm.Memory.fill st.Vm.State.mem ~dst:(L.strip p) ~len:n 0;
-       Vm.State.tick st (Vm.Cost.mem_op n);
-       p);
-    "__cecsan_realloc", (fun st a -> cecsan_realloc rt st a.(0) a.(1));
-    "__cecsan_stack_make", (fun st a -> stack_make rt st a.(0) a.(1));
-    "__cecsan_stack_release", (fun st a -> stack_release rt st a.(0); 0);
-    "__cecsan_global_make",
-    (fun st a -> global_make rt st ~slot:a.(2) a.(0) a.(1));
-    "__cecsan_gpt_load", (fun st a -> gpt_load rt st a.(0));
-    "__cecsan_sub_make", (fun st a -> sub_make rt st a.(0) a.(1));
-    "__cecsan_sub_release", (fun st a -> sub_release rt st a.(0); 0);
-    "__cecsan_extcall_strip", (fun st a -> extcall_strip rt st a.(0));
-    "__cecsan_retag", (fun st a -> retag st ~original:a.(1) a.(0));
-  ]
+(* args.(last) is always the site id appended by the machine *)
+let intrinsic rt : string -> Vm.Runtime.intrinsic option = function
+  | "__cecsan_check_load" -> Some (fun st a ->
+    check_deref rt st ~write:false ~size:a.(1) ~site:a.(2)
+      ~cost:Costs.check a.(0))
+  | "__cecsan_check_store" -> Some (fun st a ->
+    check_deref rt st ~write:true ~size:a.(1) ~site:a.(2)
+      ~cost:Costs.check a.(0))
+  (* spatial-only downgrades (DESIGN.md 16): detection-identical to the
+     fused check -- same Algorithm 1 over the same entry -- at the lower
+     cost the statically-certified temporal half buys *)
+  | "__cecsan_check_load_spatial" -> Some (fun st a ->
+    check_deref rt st ~write:false ~size:a.(1) ~site:a.(2)
+      ~cost:Costs.check_spatial a.(0))
+  | "__cecsan_check_store_spatial" -> Some (fun st a ->
+    check_deref rt st ~write:true ~size:a.(1) ~site:a.(2)
+      ~cost:Costs.check_spatial a.(0))
+  | "__cecsan_malloc" -> Some (fun st a -> cecsan_malloc rt st a.(0))
+  | "__cecsan_free" -> Some (fun st a -> cecsan_free rt st a.(0); 0)
+  | "__cecsan_calloc" -> Some (fun st a ->
+    let n = a.(0) * a.(1) in
+    let p = cecsan_malloc rt st n in
+    if p <> 0 then Vm.Memory.fill st.Vm.State.mem ~dst:(L.strip p) ~len:n 0;
+    Vm.State.tick st (Vm.Cost.mem_op n);
+    p)
+  | "__cecsan_realloc" -> Some (fun st a -> cecsan_realloc rt st a.(0) a.(1))
+  | "__cecsan_stack_make" -> Some (fun st a -> stack_make rt st a.(0) a.(1))
+  | "__cecsan_stack_release" ->
+    Some (fun st a -> stack_release rt st a.(0); 0)
+  | "__cecsan_global_make" ->
+    Some (fun st a -> global_make rt st ~slot:a.(2) a.(0) a.(1))
+  | "__cecsan_gpt_load" -> Some (fun st a -> gpt_load rt st a.(0))
+  | "__cecsan_sub_make" -> Some (fun st a -> sub_make rt st a.(0) a.(1))
+  | "__cecsan_sub_release" -> Some (fun st a -> sub_release rt st a.(0); 0)
+  | "__cecsan_extcall_strip" -> Some (fun st a -> extcall_strip rt st a.(0))
+  | "__cecsan_retag" -> Some (fun st a -> retag st ~original:a.(1) a.(0))
+  | _ -> None
 
 let stats rt =
   match rt.table with
@@ -522,9 +517,9 @@ let stats rt =
 let create ?(chain_overflow = false) () : t * Vm.Runtime.t =
   let rt = { table = None; gpt = Array.make 16 0; reports_sub_object = 0;
              chain_overflow; entry0_hits = 0; sub_temporaries = 0 } in
-  let vrt = {
+  (rt, {
     Vm.Runtime.rt_name = name;
-    intrinsics = Hashtbl.create 32;
+    intrinsic = intrinsic rt;
     malloc = None;          (* the point: no custom allocator *)
     free_ = None;
     intercept = interceptors rt;
@@ -553,7 +548,4 @@ let create ?(chain_overflow = false) () : t * Vm.Runtime.t =
            Vm.State.set_stat st "chain_lookups" t.Meta_table.chain_lookups;
            Vm.State.set_stat st "chain_links_walked"
              t.Meta_table.chain_links_walked);
-  } in
-  List.iter (fun (n, f) -> Hashtbl.replace vrt.Vm.Runtime.intrinsics n f)
-    (intrinsic_table rt);
-  (rt, vrt)
+  })

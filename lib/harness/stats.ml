@@ -23,11 +23,9 @@ let percent_overhead ~base ~measured =
   if base <= 0 then 0.0
   else (float_of_int measured /. float_of_int base -. 1.0) *. 100.0
 
-(* Exact-rank (nearest-rank) percentiles over integer samples, the
-   serving-latency convention: the reported value is an actual sample
-   at 1-based sorted index ceil(q/100 * n), so a latency table is a
-   pure function of the multiset and byte-stable everywhere. *)
-
+(* The nearest-rank index, the serving-latency convention: a percentile
+   is the actual sample at 1-based sorted index ceil(q/100 * n), so a
+   latency table is a pure function of the multiset. *)
 let rank ~q n =
   if n <= 0 then 0
   else
@@ -37,16 +35,3 @@ let rank ~q n =
       int_of_float (ceil ((q *. float_of_int n /. 100.0) -. 1e-9))
     in
     max 1 (min n r)
-
-let percentile_int ~q (xs : int list) : int =
-  match xs with
-  | [] -> 0
-  | _ ->
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    a.(rank ~q (Array.length a) - 1)
-
-let p50 xs = percentile_int ~q:50.0 xs
-let p90 xs = percentile_int ~q:90.0 xs
-let p99 xs = percentile_int ~q:99.0 xs
-let p999 xs = percentile_int ~q:99.9 xs

@@ -8,24 +8,12 @@ val geomean_overhead : float list -> float
 
 val percent_overhead : base:int -> measured:int -> float
 
-(** {1 Exact-rank percentiles}
+(** {1 Nearest rank}
 
-    Nearest-rank definition: the [q]-th percentile of [n] samples is the
-    value at sorted index [ceil (q/100 * n)] (1-based) — an actual
-    sample, never an interpolation, so percentile tables over integer
-    latencies are deterministic and byte-stable across platforms. *)
+    The [q]-th percentile of [n] samples is the value at sorted index
+    [ceil (q/100 * n)] (1-based) — an actual sample, never an
+    interpolation. *)
 
 val rank : q:float -> int -> int
 (** [rank ~q n] is the 1-based nearest-rank index into [n] sorted
     samples, clamped to [\[1, n\]]; [0] when [n = 0]. *)
-
-val percentile_int : q:float -> int list -> int
-(** Exact-rank [q]-th percentile of an (unsorted) integer sample;
-    [0] on the empty list.  The single-element list returns that
-    element for every [q]. *)
-
-val p50 : int list -> int
-val p90 : int list -> int
-val p99 : int list -> int
-val p999 : int list -> int
-(** [p999] is the 99.9th percentile (the serving-tail convention). *)

@@ -13,7 +13,6 @@ type t =
   | Null
   | Bool of bool
   | Int of int
-  | Float of float
   | Str of string
   | List of t list
   | Obj of (string * t) list
@@ -40,7 +39,6 @@ let rec emit buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (Printf.sprintf "%.3f" f)
   | Str s -> escape_string buf s
   | List vs ->
     Buffer.add_char buf '[';
@@ -69,6 +67,11 @@ let to_string v =
 (* --- parser ---------------------------------------------------------------- *)
 
 exception Bad of string
+
+(* Deeper than any artifact the stack writes (a campaign checkpoint is 4
+   levels), shallow enough that hostile input cannot overflow the stack
+   of the recursive descent below. *)
+let max_depth = 256
 
 let parse (s : string) : (t, string) result =
   let n = String.length s in
@@ -149,7 +152,7 @@ let parse (s : string) : (t, string) result =
     | Some v -> v
     | None -> fail "bad number"
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -158,6 +161,7 @@ let parse (s : string) : (t, string) result =
     | Some 'f' -> literal "false" (Bool false)
     | Some '"' -> Str (parse_string ())
     | Some ('-' | '0' .. '9') -> Int (parse_int ())
+    | Some ('[' | '{') when depth >= max_depth -> fail "nesting too deep"
     | Some '[' ->
       advance ();
       skip_ws ();
@@ -166,11 +170,11 @@ let parse (s : string) : (t, string) result =
         List []
       end
       else begin
-        let items = ref [ parse_value () ] in
+        let items = ref [ parse_value (depth + 1) ] in
         skip_ws ();
         while peek () = Some ',' do
           advance ();
-          items := parse_value () :: !items;
+          items := parse_value (depth + 1) :: !items;
           skip_ws ()
         done;
         expect ']';
@@ -189,7 +193,7 @@ let parse (s : string) : (t, string) result =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           (k, v)
         in
         let fields = ref [ field () ] in
@@ -205,7 +209,7 @@ let parse (s : string) : (t, string) result =
     | Some c -> fail (Printf.sprintf "unexpected '%c'" c)
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v

@@ -1,6 +1,6 @@
-(** The one JSON layer: a value type, a canonical printer and a strict
-    parser, shared by the serve wire protocol, telemetry snapshots, the
-    campaign checkpoint's snapshot line and every BENCH_*.json artifact.
+(** The one JSON layer: an integer-only value type, a canonical printer
+    and a strict parser, shared by the serve wire protocol, telemetry
+    snapshots, the campaign checkpoint and every BENCH_*.json artifact.
 
     Dependency-free, so it sits at the bottom of the library graph. *)
 
@@ -8,7 +8,6 @@ type t =
   | Null
   | Bool of bool
   | Int of int
-  | Float of float  (** printed with [%.3f]; {!parse} never yields one *)
   | Str of string
   | List of t list
   | Obj of (string * t) list  (** printed in the order given *)
@@ -21,8 +20,9 @@ val to_string : t -> string
 
 val parse : string -> (t, string) result
 (** Strict parser for what {!to_string} emits (plus any whitespace
-    between tokens); rejects floats and trailing garbage.  Duplicate
-    keys are NOT rejected (the first binding wins on {!member}). *)
+    between tokens); rejects floats, trailing garbage and nesting deeper
+    than 256 arrays/objects.  Duplicate keys are NOT rejected (the first
+    binding wins on {!member}). *)
 
 val member : string -> t -> t option
 (** First binding of the key in an [Obj]. *)

@@ -12,8 +12,8 @@ type row = {
   r_request : Protocol.request;
   r_response : Protocol.response;
   r_cycles : int;
-      (** the run's deterministic cost-model cycles (the simulator's
-          service time); 0 for error responses *)
+      (** the run's deterministic cost-model cycles (summed into
+          [agg_cycles]); 0 for error responses *)
   r_snapshot : Telemetry.Snapshot.t;
 }
 

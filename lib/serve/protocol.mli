@@ -6,7 +6,6 @@ type value = Json.t =
   | Null
   | Bool of bool
   | Int of int
-  | Float of float
   | Str of string
   | List of value list
   | Obj of (string * value) list

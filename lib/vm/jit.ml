@@ -52,15 +52,13 @@
 open Tir.Ir
 
 (* Per-run context: everything a compiled program needs from the
-   executing machine.  [named] is the machine's by-name slow path
-   (allocation family, libc with interception/TBI, registered externs);
-   [reresolve] re-resolves a late-registered intrinsic slot, memoizing
-   into the machine's table. *)
+   executing machine.  [itab] is the machine's intrinsic-slot binding;
+   [named] is its by-name slow path (allocation family, libc with
+   interception/TBI, registered externs). *)
 type ctx = {
   st : State.t;
-  itab : Runtime.intrinsic option array;
+  itab : Runtime.intrinsic array;
   named : string -> int array -> int;
-  reresolve : int -> Runtime.intrinsic option;
   mutable depth : int;
 }
 
@@ -399,18 +397,9 @@ let compile_func (jfuncs : (string, jfunc) Hashtbl.t) (jf : jfunc) : unit =
            let a = argv env in
            ignore (invoke env a : int);
            next env)
-    | Vcode.Vintrin { dst; islot; name; args; site } ->
+    | Vcode.Vintrin { dst; islot; args; site } ->
       let argv = mk_argv (Array.map ev args) in
-      let dispatch env a =
-        match env.c.itab.(islot) with
-        | Some fn -> fn env.c.st a
-        | None ->
-          (* registered after load? re-resolve once, else trap *)
-          (match env.c.reresolve islot with
-           | Some fn -> fn env.c.st a
-           | None ->
-             Report.trap (Report.Unresolved_external ("intrinsic " ^ name)))
-      in
+      let dispatch env a = env.c.itab.(islot) env.c.st a in
       (match dst with
        | Some d ->
          let set = set d in
@@ -428,7 +417,7 @@ let compile_func (jfuncs : (string, jfunc) Hashtbl.t) (jf : jfunc) : unit =
            next env)
     | Vcode.Vplain i ->
       (match i with
-       | Imov { dst = d; src } when fast d ->
+       | Vcode.Pmov { dst = d; src } when fast d ->
          (match src with
           | Imm v ->
             fun env -> Array.unsafe_set env.regs d v; next env
@@ -440,10 +429,10 @@ let compile_func (jfuncs : (string, jfunc) Hashtbl.t) (jf : jfunc) : unit =
           | src ->
             let e = ev src in
             fun env -> Array.unsafe_set env.regs d (e env); next env)
-       | Imov { dst; src } ->
+       | Vcode.Pmov { dst; src } ->
          let e = ev src in
          fun env -> env.regs.(dst) <- e env; next env
-       | Ibin { op; dst = d; a; b } when fast d ->
+       | Vcode.Pbin { op; dst = d; a; b } when fast d ->
          (* the hot ALU shapes compile to closures with no operand
             indirection at all *)
          let module A = Array in
@@ -537,7 +526,7 @@ let compile_func (jfuncs : (string, jfunc) Hashtbl.t) (jf : jfunc) : unit =
                  A.unsafe_set env.regs d (ax env lor bx env); next env
              | Xor -> fun env ->
                  A.unsafe_set env.regs d (ax env lxor bx env); next env))
-       | Ibin { op; dst; a; b } ->
+       | Vcode.Pbin { op; dst; a; b } ->
          let ax = ev a and bx = ev b in
          let f : int -> int -> int =
            match op with
@@ -557,7 +546,7 @@ let compile_func (jfuncs : (string, jfunc) Hashtbl.t) (jf : jfunc) : unit =
            | Xor -> ( lxor )
          in
          fun env -> env.regs.(dst) <- f (ax env) (bx env); next env
-       | Icmp { op; dst = d; a; b } when fast d ->
+       | Vcode.Pcmp { op; dst = d; a; b } when fast d ->
          let module A = Array in
          (match op, a, b with
           | Eq, Reg x, Reg y when fast x && fast y ->
@@ -628,7 +617,7 @@ let compile_func (jfuncs : (string, jfunc) Hashtbl.t) (jf : jfunc) : unit =
             fun env ->
               A.unsafe_set env.regs d (if f (ax env) (bx env) then 1 else 0);
               next env)
-       | Icmp { op; dst; a; b } ->
+       | Vcode.Pcmp { op; dst; a; b } ->
          let ax = ev a and bx = ev b in
          let f : int -> int -> bool =
            match op with
@@ -642,7 +631,7 @@ let compile_func (jfuncs : (string, jfunc) Hashtbl.t) (jf : jfunc) : unit =
          fun env ->
            env.regs.(dst) <- (if f (ax env) (bx env) then 1 else 0);
            next env
-       | Isext { dst; src; bytes } ->
+       | Vcode.Psext { dst; src; bytes } ->
          let set = set dst in
          let e = ev src in
          if bytes >= 8 then (fun env -> set env (e env); next env)
@@ -656,7 +645,7 @@ let compile_func (jfuncs : (string, jfunc) Hashtbl.t) (jf : jfunc) : unit =
              set env (if v land sbit <> 0 then v - wrap else v);
              next env
          end
-       | Iload { dst = d; addr; size; signed; _ } when fast d ->
+       | Vcode.Pload { dst = d; addr; size; signed } when fast d ->
          let ea = ev addr in
          (match size, signed with
           | 1, false ->
@@ -736,9 +725,9 @@ let compile_func (jfuncs : (string, jfunc) Hashtbl.t) (jf : jfunc) : unit =
               Array.unsafe_set env.regs d (ld8 st a);
               next env
           | _ -> generic_load d addr size signed next)
-       | Iload { dst; addr; size; signed; _ } ->
+       | Vcode.Pload { dst; addr; size; signed } ->
          generic_load dst addr size signed next
-       | Istore { addr; src; size; _ } ->
+       | Vcode.Pstore { addr; src; size } ->
          (match size with
           | 1 ->
             let ea = ev addr in
@@ -789,14 +778,14 @@ let compile_func (jfuncs : (string, jfunc) Hashtbl.t) (jf : jfunc) : unit =
               sto8 st a (es env);
               next env
           | _ -> generic_store addr src size next)
-       | Islot { dst; slot } ->
+       | Vcode.Pslot { dst; slot } ->
          let off = lf.Vcode.slot_off.(slot) in
          if fast dst then
            (fun env ->
               Array.unsafe_set env.regs dst (env.fb + off);
               next env)
          else (fun env -> env.regs.(dst) <- env.fb + off; next env)
-       | Igep { dst = d; base; idx; info } when fast d ->
+       | Vcode.Pgep { dst = d; base; idx; info } when fast d ->
          let module A = Array in
          (match info, idx with
           | Gfield { off; _ }, _ ->
@@ -822,7 +811,7 @@ let compile_func (jfuncs : (string, jfunc) Hashtbl.t) (jf : jfunc) : unit =
           | Gindex _, None ->
             let eb = ev base in
             fun env -> A.unsafe_set env.regs d (eb env); next env)
-       | Igep { dst; base; idx; info } ->
+       | Vcode.Pgep { dst; base; idx; info } ->
          let eb = ev base in
          (match info, idx with
           | Gfield { off; _ }, _ ->
@@ -833,11 +822,7 @@ let compile_func (jfuncs : (string, jfunc) Hashtbl.t) (jf : jfunc) : unit =
               env.regs.(dst) <- eb env + (ei env * elem_size);
               next env
           | Gindex _, None ->
-            fun env -> env.regs.(dst) <- eb env; next env)
-       | Icall _ | Iintrin _ ->
-         (* Vcode.resolve lowers every call/intrinsic to
-            Vcall/Vintrin/Vtelem; a plain one cannot reach the backend *)
-         assert false)
+            fun env -> env.regs.(dst) <- eb env; next env))
   in
   let compile_term (t : term) : step =
     match t with
@@ -916,7 +901,7 @@ let compile_func (jfuncs : (string, jfunc) Hashtbl.t) (jf : jfunc) : unit =
       match term with
       | Tcbr (Reg c, bt, bf) when n > 0 && fast c ->
         (match code.(n - 1) with
-         | Vcode.Vplain (Icmp { op; dst; a; b = cb }) when dst = c ->
+         | Vcode.Vplain (Vcode.Pcmp { op; dst; a; b = cb }) when dst = c ->
            fused op c a cb bt bf, n - 1
          | _ -> compile_term term, n)
       | _ -> compile_term term, n

@@ -7,15 +7,11 @@
 
 type ctx = {
   st : State.t;
-  itab : Runtime.intrinsic option array;
-      (** the machine's islot -> implementation table (shared with the
-          interpreter, so late-registration memoization benefits both) *)
+  itab : Runtime.intrinsic array;
+      (** the machine's islot -> implementation table, bound once *)
   named : string -> int array -> int;
       (** the machine's by-name call path: allocation family, libc with
           interception/TBI, registered externs *)
-  reresolve : int -> Runtime.intrinsic option;
-      (** re-resolves an intrinsic slot against the machine's runtime,
-          memoizing into [itab] *)
   mutable depth : int;
 }
 (** Per-run context; compiled code receives it through the environment

@@ -10,8 +10,8 @@
    so creating many machines over one compiled module -- or running one
    module many times -- pays resolution once.  What cannot be shared is
    the runtime binding: intrinsic implementations belong to this
-   machine's runtime, so each machine materializes its own [itab]
-   mapping the resolved code's intrinsic slots to implementations. *)
+   machine's runtime, so each machine binds the resolved code's
+   intrinsic slots to implementations once, in its own [itab]. *)
 
 open Tir.Ir
 
@@ -34,7 +34,7 @@ type t = {
   md : modul;
   rt : Runtime.t;
   vc : Vcode.t;
-  itab : Runtime.intrinsic option array;
+  itab : Runtime.intrinsic array;
   mutable ctx : Libc.ctx;
   externs : (string, State.t -> int array -> int) Hashtbl.t;
   mutable depth : int;
@@ -60,7 +60,14 @@ let create ?(st = State.create ()) ?(rt = Runtime.none) (md : modul) : t =
     md.m_globals;
   st.State.globals_end <- vc.Vcode.globals_end;
   let itab =
-    Array.map (fun name -> Runtime.find_intrinsic rt name)
+    Array.map
+      (fun name ->
+         match rt.Runtime.intrinsic name with
+         | Some fn -> fn
+         | None ->
+           (* unbound: traps when reached, after the executed bump *)
+           fun _ _ ->
+             Report.trap (Report.Unresolved_external ("intrinsic " ^ name)))
       vc.Vcode.intrin_names
   in
   let m =
@@ -175,16 +182,11 @@ let tbi_wrap m (callee : string) (raw_fn : int array -> int)
     | _ -> res
   end
 
-let rec exec_call m (callee : string) (args : int array) : int =
-  match Hashtbl.find_opt m.vc.Vcode.funcs callee with
-  | Some lf -> exec_func m lf args
-  | None -> exec_named m callee args
-
 (* The by-name slow path: the allocation family, libc builtins (with
    interception and TBI), registered externs.  Pre-resolution guarantees
    [Vnamed] callees are never module functions, so the funcs lookup is
    skipped. *)
-and exec_named m (callee : string) (args : int array) : int =
+let exec_named m (callee : string) (args : int array) : int =
   let st = m.st in
   match run_alloc_family m callee args with
   | Some v -> v
@@ -205,7 +207,7 @@ and exec_named m (callee : string) (args : int array) : int =
         | Some fn -> fn st args
         | None -> Report.trap (Report.Unresolved_external callee)))
 
-and exec_func m (lf : Vcode.loaded_func) (args : int array) : int =
+let rec exec_func m (lf : Vcode.loaded_func) (args : int array) : int =
   let st = m.st in
   m.depth <- m.depth + 1;
   let saved_sp = st.State.sp in
@@ -249,29 +251,16 @@ and exec_func m (lf : Vcode.loaded_func) (args : int array) : int =
              | Vcode.Vnamed callee -> exec_named m callee argv
            in
            (match dst with Some d -> regs.(d) <- v | None -> ())
-         | Vcode.Vintrin { dst; islot; name; args; site = _ } ->
+         | Vcode.Vintrin { dst; islot; args; site } ->
            let argv = Array.map ev args in  (* site id is the last arg *)
            (* executed bump BEFORE dispatch, so failing checks count *)
-           Telemetry.bump_executed st.State.telem
-             argv.(Array.length argv - 1);
-           (match m.itab.(islot) with
-            | Some fn ->
-              let v = fn st argv in
-              (match dst with Some d -> regs.(d) <- v | None -> ())
-            | None ->
-              (* registered after load? re-resolve once, else trap *)
-              (match Runtime.find_intrinsic m.rt name with
-               | Some fn ->
-                 m.itab.(islot) <- Some fn;
-                 let v = fn st argv in
-                 (match dst with Some d -> regs.(d) <- v | None -> ())
-               | None ->
-                 Report.trap
-                   (Report.Unresolved_external ("intrinsic " ^ name))))
+           Telemetry.bump_executed st.State.telem site;
+           let v = m.itab.(islot) st argv in
+           (match dst with Some d -> regs.(d) <- v | None -> ())
          | Vcode.Vplain i ->
          match i with
-         | Imov { dst; src } -> regs.(dst) <- ev src
-         | Ibin { op; dst; a; b } ->
+         | Vcode.Pmov { dst; src } -> regs.(dst) <- ev src
+         | Vcode.Pbin { op; dst; a; b } ->
            let x = ev a and y = ev b in
            regs.(dst) <-
              (match op with
@@ -287,7 +276,7 @@ and exec_func m (lf : Vcode.loaded_func) (args : int array) : int =
               | And -> x land y
               | Or -> x lor y
               | Xor -> x lxor y)
-         | Icmp { op; dst; a; b } ->
+         | Vcode.Pcmp { op; dst; a; b } ->
            let x = ev a and y = ev b in
            regs.(dst) <-
              (match op with
@@ -297,10 +286,10 @@ and exec_func m (lf : Vcode.loaded_func) (args : int array) : int =
               | Le -> if x <= y then 1 else 0
               | Gt -> if x > y then 1 else 0
               | Ge -> if x >= y then 1 else 0)
-         | Isext { dst; src; bytes } ->
+         | Vcode.Psext { dst; src; bytes } ->
            let v = ev src in
            regs.(dst) <- (if bytes >= 8 then v else sign_extend v bytes)
-         | Iload { dst; addr; size; signed; _ } ->
+         | Vcode.Pload { dst; addr; size; signed } ->
            State.tick st (Cost.load - 1);
            let a = State.effective st (ev addr) in
            State.check_mapped st a size;
@@ -313,38 +302,20 @@ and exec_func m (lf : Vcode.loaded_func) (args : int array) : int =
              (if size >= 8 then v
               else if signed then sign_extend v size
               else zero_extend v size)
-         | Istore { addr; src; size; _ } ->
+         | Vcode.Pstore { addr; src; size } ->
            State.tick st (Cost.store - 1);
            let a = State.effective st (ev addr) in
            State.check_mapped st a size;
            Memory.store st.State.mem a size (ev src)
-         | Islot { dst; slot } ->
+         | Vcode.Pslot { dst; slot } ->
            regs.(dst) <- frame_base + lf.Vcode.slot_off.(slot)
-         | Igep { dst; base; idx; info } ->
+         | Vcode.Pgep { dst; base; idx; info } ->
            let b = ev base in
            regs.(dst) <-
              (match info, idx with
               | Gfield { off; _ }, _ -> b + off
               | Gindex { elem_size; _ }, Some i -> b + (ev i * elem_size)
               | Gindex _, None -> b)
-         | Icall { dst; callee; args } ->
-           State.tick st (Cost.call - 1);
-           let argv = Array.of_list (List.map ev args) in
-           let v = exec_call m callee argv in
-           (match dst with Some d -> regs.(d) <- v | None -> ())
-         | Iintrin { dst; name; args; site } ->
-           let argv = Array.of_list (List.map ev args) in
-           Telemetry.bump_executed st.State.telem site;
-           (match Runtime.find_intrinsic m.rt name with
-            | Some fn ->
-              (* intrinsics receive the site id as a trailing argument *)
-              let v =
-                fn st
-                  (Array.append argv [| site |])
-              in
-              (match dst with Some d -> regs.(d) <- v | None -> ())
-            | None ->
-              Report.trap (Report.Unresolved_external ("intrinsic " ^ name)))
        done;
        (match lf.Vcode.terms.(!block) with
         | Tret v ->
@@ -397,16 +368,6 @@ let run ?(entry = "main") ?(backend = Interp) ?fuel (m : t) : outcome =
          let c =
            { Jit.st = m.st; itab = m.itab;
              named = (fun callee args -> exec_named m callee args);
-             reresolve =
-               (fun islot ->
-                  match
-                    Runtime.find_intrinsic m.rt
-                      m.vc.Vcode.intrin_names.(islot)
-                  with
-                  | Some fn ->
-                    m.itab.(islot) <- Some fn;
-                    Some fn
-                  | None -> None);
              depth = 0 }
          in
          finish (Jit.exec_jfunc c jf [||]))

@@ -21,8 +21,9 @@ type t = {
   md : Tir.Ir.modul;
   rt : Runtime.t;
   vc : Vcode.t;  (** resolved code, cached on [md] across machines *)
-  itab : Runtime.intrinsic option array;
-      (** this machine's intrinsic-slot bindings (runtime-specific) *)
+  itab : Runtime.intrinsic array;
+      (** this machine's intrinsic-slot bindings, made once by
+          {!create}; an unbound name traps when reached *)
   mutable ctx : Libc.ctx;
   externs : (string, State.t -> int array -> int) Hashtbl.t;
   mutable depth : int;
@@ -31,8 +32,10 @@ type t = {
 val create : ?st:State.t -> ?rt:Runtime.t -> Tir.Ir.modul -> t
 (** Loads globals into the simulated globals region and binds the
     module's resolved code (resolved at most once per module, see
-    {!Vcode.resolve_cached}) to the runtime.  Applies the runtime's TBI
-    configuration. *)
+    {!Vcode.resolve_cached}) to the runtime: each intrinsic slot is
+    bound once, and a name the runtime does not implement binds to a
+    [Unresolved_external "intrinsic <name>"] trap.  Applies the
+    runtime's TBI configuration. *)
 
 val register_extern : t -> string -> (State.t -> int array -> int) -> unit
 (** Provides an OCaml implementation for an [extern] function with no
@@ -40,11 +43,6 @@ val register_extern : t -> string -> (State.t -> int array -> int) -> unit
     run time). *)
 
 val global_addr : t -> string -> int
-
-val exec_call : t -> string -> int array -> int
-(** Calls a function by name: module functions, the allocation family
-    (routed through runtime hooks), libc builtins (with interception and
-    TBI handling), or registered externs. *)
 
 val run : ?entry:string -> ?backend:backend -> ?fuel:Tir.Fuel.t -> t -> outcome
 (** Runs [entry] (default ["main"]) under [backend] (default [Interp]);

@@ -4,6 +4,8 @@
    rewrites the IR inserting [Iintrin] calls, and this record supplies
    their implementations plus the runtime-level hooks:
 
+   - [intrinsic]: an implementation by name.  Each machine looks every
+     name up once, when it binds its intrinsic slots;
    - [malloc]/[free_]: replace the default allocator (ASan does; CECSan
      pointedly does not);
    - [intercept]: checking wrappers around libc builtins.  A builtin with
@@ -12,7 +14,7 @@
      wrappers;
    - [tbi_bits]: bits of top-byte-ignore the runtime asks the hardware
      for (HWASan); addresses are masked accordingly before translation;
-   - [observed]: lets the harness collect runtime statistics. *)
+   - [at_exit]: runs at program end (leak-style checks, statistics). *)
 
 type intrinsic = State.t -> int array -> int
 
@@ -22,7 +24,7 @@ type interceptor = State.t -> raw:(int array -> int) -> int array -> int
 
 type t = {
   rt_name : string;
-  intrinsics : (string, intrinsic) Hashtbl.t;
+  intrinsic : string -> intrinsic option;
   malloc : (State.t -> int -> int) option;
   free_ : (State.t -> int -> unit) option;
   intercept : string -> interceptor option;
@@ -34,9 +36,10 @@ type t = {
   at_exit : State.t -> unit;
 }
 
-let plain name = {
-  rt_name = name;
-  intrinsics = Hashtbl.create 4;
+(* The uninstrumented baseline: no checks at all. *)
+let none = {
+  rt_name = "none";
+  intrinsic = (fun _ -> None);
   malloc = None;
   free_ = None;
   intercept = (fun _ -> None);
@@ -44,10 +47,3 @@ let plain name = {
   tbi_bits = 0;
   at_exit = (fun _ -> ());
 }
-
-(* The uninstrumented baseline: no checks at all. *)
-let none = plain "none"
-
-let register rt name fn = Hashtbl.replace rt.intrinsics name fn
-
-let find_intrinsic rt name = Hashtbl.find_opt rt.intrinsics name

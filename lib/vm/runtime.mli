@@ -13,7 +13,9 @@ type interceptor = State.t -> raw:(int array -> int) -> int array -> int
 
 type t = {
   rt_name : string;
-  intrinsics : (string, intrinsic) Hashtbl.t;
+  intrinsic : string -> intrinsic option;
+      (** the implementation of an intrinsic, by name; each machine
+          looks every name up once, when it binds its slots *)
   malloc : (State.t -> int -> int) option;
       (** replaces the default allocator (ASan does; CECSan does not) *)
   free_ : (State.t -> int -> unit) option;
@@ -27,11 +29,5 @@ type t = {
   at_exit : State.t -> unit;
 }
 
-val plain : string -> t
-(** A runtime with no hooks at all. *)
-
 val none : t
-(** The uninstrumented baseline. *)
-
-val register : t -> string -> intrinsic -> unit
-val find_intrinsic : t -> string -> intrinsic option
+(** The uninstrumented baseline: no intrinsics, no hooks. *)

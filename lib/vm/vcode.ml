@@ -25,13 +25,25 @@
 
 open Tir.Ir
 
+(* The eight non-call instructions of [Tir.Ir.instr], operands
+   pre-resolved.  Calls and intrinsics always lower to [Vcall]/[Vintrin]/
+   [Vtelem], so neither backend needs a plain call arm. *)
+type plain =
+  | Pmov of { dst : int; src : opnd }
+  | Pbin of { op : binop; dst : int; a : opnd; b : opnd }
+  | Pcmp of { op : cmpop; dst : int; a : opnd; b : opnd }
+  | Psext of { dst : int; src : opnd; bytes : int }
+  | Pload of { dst : int; addr : opnd; size : int; signed : bool }
+  | Pstore of { addr : opnd; src : opnd; size : int }
+  | Pslot of { dst : int; slot : int }
+  | Pgep of { dst : int; base : opnd; idx : opnd option; info : gep_info }
+
 type vinstr =
-  | Vplain of instr                    (* operands pre-resolved *)
+  | Vplain of plain
   | Vcall of { dst : int option; target : vtarget; args : opnd array }
   | Vintrin of {
       dst : int option;
       islot : int;       (* index into the machine's intrinsic table *)
-      name : string;
       args : opnd array; (* site id appended as [Imm] *)
       site : int;
     }
@@ -113,18 +125,18 @@ let resolve_instr funcs globals islot (i : instr) : vinstr =
         site }
   | Iintrin { dst; name; args; site } ->
     let args = Array.of_list (List.map r args @ [ Imm site ]) in
-    Vintrin { dst; islot = islot name; name; args; site }
-  | Imov { dst; src } -> Vplain (Imov { dst; src = r src })
-  | Ibin { op; dst; a; b } -> Vplain (Ibin { op; dst; a = r a; b = r b })
-  | Icmp { op; dst; a; b } -> Vplain (Icmp { op; dst; a = r a; b = r b })
-  | Isext { dst; src; bytes } -> Vplain (Isext { dst; src = r src; bytes })
-  | Iload { dst; addr; size; signed; safe } ->
-    Vplain (Iload { dst; addr = r addr; size; signed; safe })
-  | Istore { addr; src; size; safe } ->
-    Vplain (Istore { addr = r addr; src = r src; size; safe })
-  | Islot _ -> Vplain i
+    Vintrin { dst; islot = islot name; args; site }
+  | Imov { dst; src } -> Vplain (Pmov { dst; src = r src })
+  | Ibin { op; dst; a; b } -> Vplain (Pbin { op; dst; a = r a; b = r b })
+  | Icmp { op; dst; a; b } -> Vplain (Pcmp { op; dst; a = r a; b = r b })
+  | Isext { dst; src; bytes } -> Vplain (Psext { dst; src = r src; bytes })
+  | Iload { dst; addr; size; signed; safe = _ } ->
+    Vplain (Pload { dst; addr = r addr; size; signed })
+  | Istore { addr; src; size; safe = _ } ->
+    Vplain (Pstore { addr = r addr; src = r src; size })
+  | Islot { dst; slot } -> Vplain (Pslot { dst; slot })
   | Igep { dst; base; idx; info } ->
-    Vplain (Igep { dst; base = r base; idx = Option.map r idx; info })
+    Vplain (Pgep { dst; base = r base; idx = Option.map r idx; info })
 
 let resolve_term globals = function
   | Tret (Some o) -> Tret (Some (resolve_opnd globals o))

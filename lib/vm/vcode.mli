@@ -11,13 +11,25 @@
 
 open Tir.Ir
 
+type plain =
+  | Pmov of { dst : int; src : opnd }
+  | Pbin of { op : binop; dst : int; a : opnd; b : opnd }
+  | Pcmp of { op : cmpop; dst : int; a : opnd; b : opnd }
+  | Psext of { dst : int; src : opnd; bytes : int }
+  | Pload of { dst : int; addr : opnd; size : int; signed : bool }
+  | Pstore of { addr : opnd; src : opnd; size : int }
+  | Pslot of { dst : int; slot : int }
+  | Pgep of { dst : int; base : opnd; idx : opnd option; info : gep_info }
+(** The non-call instructions of [Tir.Ir.instr], operands pre-resolved.
+    Calls and intrinsics always lower to [Vcall], [Vintrin] or [Vtelem],
+    so a plain instruction is never one. *)
+
 type vinstr =
-  | Vplain of instr  (** operands pre-resolved *)
+  | Vplain of plain
   | Vcall of { dst : int option; target : vtarget; args : opnd array }
   | Vintrin of {
       dst : int option;
       islot : int;  (** index into the machine's intrinsic table *)
-      name : string;
       args : opnd array;  (** site id appended as [Imm] *)
       site : int;
     }

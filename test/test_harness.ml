@@ -29,26 +29,6 @@ let stats_tests =
          (fun xs ->
             Harness.Stats.geomean_overhead xs
             <= Harness.Stats.average xs +. 1e-6));
-    Alcotest.test_case "percentiles of the empty list are 0" `Quick
-      (fun () ->
-         List.iter
-           (fun f -> Alcotest.(check int) "empty" 0 (f []))
-           [ Harness.Stats.p50; Harness.Stats.p90; Harness.Stats.p99;
-             Harness.Stats.p999 ]);
-    Alcotest.test_case "percentiles of a singleton are that element"
-      `Quick
-      (fun () ->
-         List.iter
-           (fun f -> Alcotest.(check int) "singleton" 42 (f [ 42 ]))
-           [ Harness.Stats.p50; Harness.Stats.p90; Harness.Stats.p99;
-             Harness.Stats.p999 ]);
-    Alcotest.test_case "exact ranks on 1..100" `Quick (fun () ->
-        (* nearest-rank: value at 1-based index ceil(q/100 * n) *)
-        let xs = List.init 100 (fun i -> 100 - i) in  (* unsorted *)
-        Alcotest.(check int) "p50" 50 (Harness.Stats.p50 xs);
-        Alcotest.(check int) "p90" 90 (Harness.Stats.p90 xs);
-        Alcotest.(check int) "p99" 99 (Harness.Stats.p99 xs);
-        Alcotest.(check int) "p999" 100 (Harness.Stats.p999 xs));
     Alcotest.test_case "rank clamps to [1, n]" `Quick (fun () ->
         Alcotest.(check int) "q=50 n=4" 2 (Harness.Stats.rank ~q:50.0 4);
         Alcotest.(check int) "q=99.9 n=1000" 999
@@ -57,17 +37,6 @@ let stats_tests =
         Alcotest.(check int) "tiny q floors at 1" 1
           (Harness.Stats.rank ~q:0.001 1000);
         Alcotest.(check int) "n=0" 0 (Harness.Stats.rank ~q:50.0 0));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make
-         ~name:"percentiles are members and monotone in q" ~count:200
-         QCheck.(list_of_size (QCheck.Gen.int_range 1 50) small_int)
-         (fun xs ->
-            let p50 = Harness.Stats.p50 xs
-            and p90 = Harness.Stats.p90 xs
-            and p99 = Harness.Stats.p99 xs
-            and p999 = Harness.Stats.p999 xs in
-            List.for_all (fun p -> List.mem p xs) [ p50; p90; p99; p999 ]
-            && p50 <= p90 && p90 <= p99 && p99 <= p999));
   ]
 
 let rendering_tests =

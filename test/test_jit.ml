@@ -188,7 +188,48 @@ let differential_tests =
                (Printf.sprintf "budget %d" budget)
                (go Vm.Machine.Interp budget)
                (go Vm.Machine.Jit budget))
-          [ 1; 10_000_000 ])
+          [ 1; 10_000_000 ]);
+    Alcotest.test_case "an unbound intrinsic traps identically on both \
+                        backends" `Quick (fun () ->
+        (* a CECSan build under the uninstrumented runtime: the first
+           intrinsic main reaches has no implementation *)
+        let md =
+          Sanitizer.Driver.build (Cecsan.sanitizer ())
+            "int main() { char *p = malloc(16); p[3] = 'x'; int v = p[3]; \
+             free(p); return v; }"
+        in
+        let name, site =
+          match Tir.Ir.find_func md "main" with
+          | None -> Alcotest.fail "no main"
+          | Some f ->
+            List.find_map
+              (function
+                | Tir.Ir.Iintrin { name; site; _ }
+                  when not (Tir.Ir.is_telemetry_marker name) ->
+                  Some (name, site)
+                | _ -> None)
+              f.Tir.Ir.f_blocks.(0).Tir.Ir.b_instrs
+            |> Option.get
+        in
+        Alcotest.(check bool) name true
+          (String.starts_with ~prefix:"__cecsan_" name);
+        let go backend =
+          let st = Vm.State.create () in
+          let m = Vm.Machine.create ~st ~rt:Vm.Runtime.none md in
+          let outcome = Vm.Machine.run ~backend m in
+          (match outcome with
+           | Vm.Machine.Fault
+               { Vm.Report.t_kind = Vm.Report.Unresolved_external n; _ } ->
+             Alcotest.(check string) "trap" ("intrinsic " ^ name) n
+           | o ->
+             Alcotest.failf "expected an unresolved-intrinsic trap, got %a"
+               Vm.Machine.pp_outcome o);
+          Alcotest.(check int) "executed counter bumped before the trap" 1
+            (Telemetry.executed st.Vm.State.telem site);
+          st.Vm.State.cycles
+        in
+        Alcotest.(check int) "cycles" (go Vm.Machine.Interp)
+          (go Vm.Machine.Jit))
   ]
 
 (* --- cache regressions ---------------------------------------------------- *)

@@ -1,7 +1,6 @@
 (* The sanitizer-as-a-service stack: wire protocol codecs, the batched
    engine's determinism contract (any -j, any batch size, byte-identical
-   rows and aggregates), compile_cached under server-shaped load, and
-   the load simulator's reproducibility. *)
+   rows and aggregates) and compile_cached under server-shaped load. *)
 
 let ok_or_fail = function
   | Ok v -> v
@@ -107,6 +106,48 @@ let protocol_tests =
 
 (* --- engine ---------------------------------------------------------------- *)
 
+(* A seeded synthetic request mix: mostly [analyze] of small generated
+   programs, some [fuzz], occasional [bench] kernels; request [i]
+   derives its whole shape from [Tape.mix seed i]. *)
+let bench_kernels = [ "429.mcf"; "462.libquantum"; "470.lbm"; "619.lbm_s" ]
+let bench_sans = [ "cecsan"; "asan--"; "none" ]
+let analyze_sans = [ "cecsan"; "asan"; "hwasan"; "none" ]
+
+let gen_request ~seed i : Serve.Protocol.request =
+  let t = Fuzz.Tape.fresh ~seed:(Fuzz.Tape.mix seed i) in
+  let backend =
+    match Fuzz.Tape.draw t 3 with
+    | 0 -> None
+    | 1 -> Some Vm.Machine.Interp
+    | _ -> Some Vm.Machine.Jit
+  in
+  let op =
+    match Fuzz.Tape.draw t 64 with
+    | 0 ->
+      (* rare: a full SPEC-like kernel (the service's heavy tail) *)
+      Serve.Protocol.Bench
+        {
+          kernel = Fuzz.Tape.pick t bench_kernels;
+          sanitizer = Fuzz.Tape.pick t bench_sans;
+        }
+    | d when d <= 12 ->
+      Serve.Protocol.Fuzz
+        { fz_seed = Fuzz.Tape.draw t 1_000_000; inject = Fuzz.Tape.bool t }
+    | _ ->
+      let inject = Fuzz.Tape.bool t in
+      let p = Fuzz.Gen.generate ~inject t in
+      Serve.Protocol.Analyze
+        {
+          source = p.Fuzz.Gen.src;
+          sanitizer = Fuzz.Tape.pick t analyze_sans;
+          optimize = Fuzz.Tape.bool t;
+        }
+  in
+  { Serve.Protocol.id = i; op; backend }
+
+let gen_requests ~seed n : Serve.Protocol.request list =
+  List.init n (gen_request ~seed)
+
 let analyze ?backend ?(sanitizer = "cecsan") source : Serve.Engine.row =
   Serve.Engine.execute
     { Serve.Protocol.id = 0;
@@ -170,13 +211,13 @@ let engine_tests =
            (a.r_response = b.r_response));
     Alcotest.test_case "process: rows identical at any batch size" `Quick
       (fun () ->
-         let reqs = Serve.Sim.gen_requests ~seed:0xA11CE 24 in
+         let reqs = gen_requests ~seed:0xA11CE 24 in
          let by_batch b = Serve.Engine.process ~batch:b reqs in
          let r1 = by_batch 1 in
          Alcotest.(check bool) "batch 5" true (r1 = by_batch 5);
          Alcotest.(check bool) "batch 64" true (r1 = by_batch 64));
     Alcotest.test_case "process: rows identical at -j 4" `Quick (fun () ->
-        let reqs = Serve.Sim.gen_requests ~seed:0xA11CE 24 in
+        let reqs = gen_requests ~seed:0xA11CE 24 in
         let seq = Serve.Engine.process ~batch:4 reqs in
         let par =
           Harness.Pool.with_pool ~jobs:4 (fun p ->
@@ -185,7 +226,7 @@ let engine_tests =
         Alcotest.(check bool) "identical rows" true (seq = par));
     Alcotest.test_case "aggregate folds in submission order" `Quick
       (fun () ->
-         let reqs = Serve.Sim.gen_requests ~seed:3 12 in
+         let reqs = gen_requests ~seed:3 12 in
          let rows = Serve.Engine.process ~batch:3 reqs in
          let agg =
            Serve.Engine.aggregate_rows Serve.Engine.empty_aggregate rows
@@ -250,7 +291,7 @@ let cache_tests =
     Alcotest.test_case "clear_compile_cache mid-campaign is invisible"
       `Quick
       (fun () ->
-         let reqs = Serve.Sim.gen_requests ~seed:0xC1EA2 16 in
+         let reqs = gen_requests ~seed:0xC1EA2 16 in
          let uninterrupted = Serve.Engine.process ~batch:4 reqs in
          let front = List.filteri (fun i _ -> i < 8) reqs in
          let back = List.filteri (fun i _ -> i >= 8) reqs in
@@ -276,73 +317,10 @@ let cache_tests =
            (Tir.Fuel.remaining cold) (Tir.Fuel.remaining warm));
   ]
 
-(* --- load simulator -------------------------------------------------------- *)
-
-let sim_tests =
-  [
-    Alcotest.test_case "request mix is deterministic" `Quick (fun () ->
-        let a = Serve.Sim.gen_requests ~seed:0x5EED 32 in
-        let b = Serve.Sim.gen_requests ~seed:0x5EED 32 in
-        Alcotest.(check bool) "identical" true (a = b);
-        let c = Serve.Sim.gen_requests ~seed:0x5EEE 32 in
-        Alcotest.(check bool) "seed-sensitive" true (a <> c));
-    Alcotest.test_case "report JSON byte-identical at -j 3" `Quick
-      (fun () ->
-         let cfg = Serve.Sim.default_cfg ~seed:0x5EED ~requests:60 in
-         let seq = Serve.Sim.to_json (Serve.Sim.run cfg) in
-         let par =
-           Harness.Pool.with_pool ~jobs:3 (fun p ->
-               Serve.Sim.to_json (Serve.Sim.run ~pool:p cfg))
-         in
-         Alcotest.(check string) "bytes" seq par);
-    Alcotest.test_case "latency percentiles are ordered and positive"
-      `Quick
-      (fun () ->
-         let cfg = Serve.Sim.default_cfg ~seed:1 ~requests:50 in
-         let r = Serve.Sim.run cfg in
-         let l = r.Serve.Sim.sr_latency in
-         Alcotest.(check bool) "ordered" true
-           (l.Serve.Sim.l_p50 <= l.Serve.Sim.l_p90
-            && l.Serve.Sim.l_p90 <= l.Serve.Sim.l_p99
-            && l.Serve.Sim.l_p99 <= l.Serve.Sim.l_p999
-            && l.Serve.Sim.l_p999 <= l.Serve.Sim.l_max);
-         Alcotest.(check bool) "positive" true (l.Serve.Sim.l_p50 >= 1);
-         Alcotest.(check bool) "makespan covers service" true
-           (r.Serve.Sim.sr_makespan >= l.Serve.Sim.l_max));
-    Alcotest.test_case
-      "simulated workers shape latency, real jobs never do" `Quick
-      (fun () ->
-         let base = Serve.Sim.default_cfg ~seed:2 ~requests:60 in
-         let narrow =
-           Serve.Sim.run { base with Serve.Sim.sc_workers = 1 }
-         in
-         let wide =
-           Serve.Sim.run { base with Serve.Sim.sc_workers = 8 }
-         in
-         Alcotest.(check bool) "1 server queues at least as long" true
-           (narrow.Serve.Sim.sr_latency.Serve.Sim.l_p99
-            >= wide.Serve.Sim.sr_latency.Serve.Sim.l_p99));
-    Alcotest.test_case "schema header and key fields present" `Quick
-      (fun () ->
-         let cfg = Serve.Sim.default_cfg ~seed:3 ~requests:20 in
-         let json = Serve.Sim.to_json (Serve.Sim.run cfg) in
-         let v = ok_or_fail (Serve.Protocol.parse json) in
-         (match Serve.Protocol.member "schema" v with
-          | Some (Serve.Protocol.Str "cecsan-bench-serve/1") -> ()
-          | _ -> Alcotest.fail "schema field");
-         List.iter
-           (fun k ->
-              if Serve.Protocol.member k v = None then
-                Alcotest.failf "missing %S" k)
-           [ "seed"; "requests"; "sim_workers"; "batch"; "aggregate";
-             "latency_ticks"; "makespan_ticks"; "throughput_per_mticks" ]);
-  ]
-
 let () =
   Alcotest.run "serve"
     [
       "protocol", protocol_tests;
       "engine", engine_tests;
       "compile-cache", cache_tests;
-      "sim", sim_tests;
     ]
