@@ -191,14 +191,14 @@ let run_fuzz_guided ?pool ?backend ~jobs n =
   Format.printf "@.Coverage artifact written to %s@." file;
   if not (Fuzz.Campaign.passed s) then exit 1
 
-(* --verify: run the Tir.Verify static verifier over every SPEC kernel
-   under every sanitizer and report wall time plus how many unsafe
-   accesses it proved covered (the translation-validation half of the
-   section II.F story).  For tools carrying an absint model the table
-   adds the abstract-interpretation facts proved over the optimized IR,
-   the elision witnesses replayed, and the wall time of an absint run
-   over the optimized IR; the whole grid (minus wall clock, which would break
-   byte-for-byte artifact determinism) lands in BENCH_verify.json. *)
+(* --verify: run every SPEC kernel under every sanitizer through the
+   Driver's verification gate and report how many unsafe accesses it
+   proved covered (the translation-validation half of the section II.F
+   story).  For tools carrying an absint model the table adds the
+   abstract-interpretation facts proved over the optimized IR and the
+   elision witnesses replayed; the grid lands in BENCH_verify.json.
+   The gate's per-phase wall time is perfbench's
+   [tir.verify_pre_ms]/[tir.verify_post_ms]. *)
 let run_verify () =
   section "Experiment: static verification (Tir.Verify, SPEC kernels)";
   let tools =
@@ -210,76 +210,52 @@ let run_verify () =
       Baselines.Pacmem.sanitizer ();
       Baselines.Cryptsan.sanitizer () ]
   in
-  (* an absint run over the post-optimization module, counting the check
-     sites whose pointer carries a fact *)
-  let absint_facts (san : Sanitizer.Spec.t) md =
-    match san.Sanitizer.Spec.verify with
-    | Some { Tir.Verify.absint = Some model; hazard_intrinsics; _ } ->
-      let pure =
-        Tir.Analysis.pure_callees md
-          ~is_hazard:(fun n -> List.mem n hazard_intrinsics)
-      in
-      let cx = Tir.Absint.make_ctx model ~pure md in
-      let n = ref 0 in
-      Tir.Ir.iter_funcs md (fun f ->
-          if not f.Tir.Ir.f_external then
-            n := !n + (Tir.Absint.analyze cx f).Tir.Absint.su_facts);
-      !n
-    | _ -> 0
-  in
   let rows = ref [] in
-  Format.printf "  %-14s %-14s %9s %9s %9s %7s %10s %10s@." "kernel" "tool"
-    "accesses" "covered" "witnesses" "facts" "verify" "absint";
+  Format.printf "  %-14s %-14s %9s %9s %9s %7s@." "kernel" "tool"
+    "accesses" "covered" "witnesses" "facts";
   timed "verify" (fun () ->
       List.iter
         (fun (w : Workloads.Spec2006.t) ->
            List.iter
              (fun (san : Sanitizer.Spec.t) ->
+                (* every rejected error, and a coverage shrink, is one
+                   issue *)
+                let issues = ref 0 in
                 match
                   let md =
                     Sanitizer.Driver.compile_cached ~optimize:true
                       w.Workloads.Spec2006.w_source
                   in
-                  let spec = san.Sanitizer.Spec.verify in
-                  san.Sanitizer.Spec.instrument md;
-                  let t0 = Unix.gettimeofday () in
-                  let pre = Tir.Verify.check ?spec md in
-                  let t1 = Unix.gettimeofday () in
-                  san.Sanitizer.Spec.optimize md;
-                  let t2 = Unix.gettimeofday () in
-                  let post = Tir.Verify.check ?spec md in
-                  let t3 = Unix.gettimeofday () in
-                  let facts = absint_facts san md in
-                  let ta = Unix.gettimeofday () -. t3 in
-                  let dt = t1 -. t0 +. (t3 -. t2) in
-                  (pre, post, facts, dt, ta)
+                  let { Sanitizer.Driver.post; _ } =
+                    Sanitizer.Driver.gate san md
+                      ~on_reject:(fun ~stage:_ errors ->
+                          issues := !issues + List.length errors)
+                  in
+                  let facts =
+                    match Sanitizer.Driver.absint_summaries san md with
+                    | Some sums ->
+                      List.fold_left
+                        (fun n su -> n + su.Tir.Absint.su_facts) 0 sums
+                    | None -> 0
+                  in
+                  (post, facts)
                 with
                 | exception Sanitizer.Spec.Unsupported _ ->
                   Format.printf "  %-14s %-14s %9s@."
                     w.Workloads.Spec2006.w_name san.Sanitizer.Spec.name
                     "excluded"
-                | pre, post, facts, dt, ta ->
-                  let issues =
-                    List.length pre.Tir.Verify.r_errors
-                    + List.length post.Tir.Verify.r_errors
-                    + (if post.Tir.Verify.r_covered
-                          < pre.Tir.Verify.r_covered
-                       then 1
-                       else 0)
-                  in
+                | post, facts ->
                   rows :=
                     (w.Workloads.Spec2006.w_name, san.Sanitizer.Spec.name,
                      post.Tir.Verify.r_accesses, post.Tir.Verify.r_covered,
-                     post.Tir.Verify.r_witnesses, facts, issues)
+                     post.Tir.Verify.r_witnesses, facts, !issues)
                     :: !rows;
-                  Format.printf
-                    "  %-14s %-14s %9d %9d %9d %7d %7.1f ms %7.1f ms%s@."
+                  Format.printf "  %-14s %-14s %9d %9d %9d %7d%s@."
                     w.Workloads.Spec2006.w_name san.Sanitizer.Spec.name
                     post.Tir.Verify.r_accesses post.Tir.Verify.r_covered
-                    post.Tir.Verify.r_witnesses facts (dt *. 1000.)
-                    (ta *. 1000.)
-                    (if issues = 0 then ""
-                     else Printf.sprintf "  (%d issue(s))" issues))
+                    post.Tir.Verify.r_witnesses facts
+                    (if !issues = 0 then ""
+                     else Printf.sprintf "  (%d issue(s))" !issues))
              tools)
         (Workloads.Spec2006.all @ Workloads.Spec2017.all));
   let rows = List.rev !rows in

@@ -123,9 +123,8 @@ val run :
     returns (shrink skipped) -- the deterministic stand-in for getting
     killed mid-campaign in tests.
 
-    [backend] threads into every run of the grid (explicitly, never via
-    the [Driver.default_backend] ref); verdicts, ledgers and snapshots
-    are bit-for-bit identical on either backend.
+    [backend] threads into every run of the grid; verdicts, ledgers and
+    snapshots are bit-for-bit identical on either backend.
 
     [guided] turns on corpus admission (DESIGN.md section 17): every
     program's runs produce a [Coverage] bitmap, coverage-novel tapes

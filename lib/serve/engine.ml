@@ -45,17 +45,12 @@ let detected (o : Vm.Machine.outcome) : bool =
 let error_string = function
   | Minic.Sema.Error (m, line) ->
     Printf.sprintf "sema: %s (line %d)" m line
-  | Minic.Parser.Error (m, line) ->
-    Printf.sprintf "parse: %s (line %d)" m line
-  | Minic.Lexer.Error (m, line) ->
-    Printf.sprintf "lex: %s (line %d)" m line
   | Tir.Lower.Error m -> "lower: " ^ m
   | Sanitizer.Spec.Unsupported m -> "unsupported: " ^ m
   | Sanitizer.Driver.Verifier_reject { tool; stage; _ } ->
     Printf.sprintf "verifier-reject: %s (%s)" tool stage
   | Tir.Fuel.Exhausted { phase; budget } ->
     Printf.sprintf "fuel: %s (budget %d)" phase budget
-  | Fuzz.Oracle.Compile_error m -> "compile: " ^ m
   | Failure m -> "failure: " ^ m
   | Invalid_argument m -> "invalid: " ^ m
   | e -> "exn: " ^ Printexc.to_string e

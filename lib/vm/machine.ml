@@ -334,13 +334,13 @@ let rec exec_func m (lf : Vcode.loaded_func) (args : int array) : int =
   st.State.sp <- saved_sp;
   !result
 
-(* Runs [entry] (default main) under the selected backend.  All ways a
-   run can end are funneled into the [outcome] type.  A clean exit under
+(* Runs [main] under the selected backend.  All ways a run can end are
+   funneled into the [outcome] type.  A clean exit under
    a Recover sink that recorded findings becomes [Completed_with_bugs].
    [fuel] meters jit compilation (interpretation needs none); a
    [Tir.Fuel.Exhausted] escape is a supervision event, not an outcome,
    and propagates. *)
-let run ?(entry = "main") ?(backend = Interp) ?fuel (m : t) : outcome =
+let run ?(backend = Interp) ?fuel (m : t) : outcome =
   let finish code =
     m.rt.Runtime.at_exit m.st;
     let sink = m.st.State.sink in
@@ -351,18 +351,18 @@ let run ?(entry = "main") ?(backend = Interp) ?fuel (m : t) : outcome =
     else Exit code
   in
   let no_entry () =
-    Fault { t_kind = Unresolved_external entry; t_addr = 0;
+    Fault { t_kind = Unresolved_external "main"; t_addr = 0;
             t_detail = "no entry point" }
   in
   match
     match backend with
     | Interp ->
-      (match Hashtbl.find_opt m.vc.Vcode.funcs entry with
+      (match Hashtbl.find_opt m.vc.Vcode.funcs "main" with
        | None -> no_entry ()
        | Some lf -> finish (exec_func m lf [||]))
     | Jit ->
       let prog = Jit.compile_cached ?fuel m.vc in
-      (match Jit.find_func prog entry with
+      (match Jit.find_func prog "main" with
        | None -> no_entry ()
        | Some jf ->
          let c =

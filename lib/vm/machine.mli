@@ -44,9 +44,9 @@ val register_extern : t -> string -> (State.t -> int array -> int) -> unit
 
 val global_addr : t -> string -> int
 
-val run : ?entry:string -> ?backend:backend -> ?fuel:Tir.Fuel.t -> t -> outcome
-(** Runs [entry] (default ["main"]) under [backend] (default [Interp]);
-    all terminations funnel into [outcome].  [fuel] meters jit
+val run : ?backend:backend -> ?fuel:Tir.Fuel.t -> t -> outcome
+(** Runs ["main"] under [backend] (default [Interp]); all terminations
+    funnel into [outcome].  [fuel] meters jit
     compilation (burned identically on compile-cache hits and misses);
     [Tir.Fuel.Exhausted] is a supervision event and propagates. *)
 

@@ -17,7 +17,7 @@ let kinds reports =
   List.map (fun r -> Vm.Report.kind_to_string r.Vm.Report.r_kind) reports
 
 let stat r key =
-  match List.assoc_opt key r.Sanitizer.Driver.telemetry with
+  match List.assoc_opt key r.Sanitizer.Driver.snapshot.Telemetry.Snapshot.gauges with
   | Some v -> v
   | None -> 0
 

@@ -192,6 +192,7 @@ let engine_tests =
            (analyze ~sanitizer:"nope" "int main() { return 0; }");
          (* the front end funnels parser errors through Sema.Error too *)
          check_prefix "sema:" (analyze "int main( {");
+         check_prefix "sema:" (analyze "int main() { return 0 @ }");
          check_prefix "sema:" (analyze "int main() { return x; }");
          check_prefix "unknown-kernel:"
            (Serve.Engine.execute
