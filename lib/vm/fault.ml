@@ -107,8 +107,8 @@ let active t =
   t.oom_after <> None || t.table_limit <> None || t.tagflip_every <> None
   || t.crash_after <> None || t.fuel_budget <> None
 
-(* "oom:N" | "table:N" | "tagflip:N" | "crash:N" | "fuel:N" — the CLI
-   surface. *)
+(* "oom:N" | "table:N" | "tagflip:N" | "crash:N" | "fuel:N" with N >= 0
+   — the CLI surface. *)
 let parse s : (spec, string) result =
   match String.index_opt s ':' with
   | None -> Error (Printf.sprintf "bad fault spec %S (want kind:N)" s)
@@ -116,15 +116,15 @@ let parse s : (spec, string) result =
     let kind = String.sub s 0 i in
     let num = String.sub s (i + 1) (String.length s - i - 1) in
     (match int_of_string_opt num with
-     | None -> Error (Printf.sprintf "bad fault count in %S" s)
-     | Some n ->
+     | Some n when n >= 0 ->
        (match kind with
         | "oom" -> Ok (Oom n)
         | "table" -> Ok (Table n)
         | "tagflip" -> Ok (Tagflip n)
         | "crash" -> Ok (Crash n)
         | "fuel" -> Ok (Fuel n)
-        | _ -> Error (Printf.sprintf "unknown fault kind %S" kind)))
+        | _ -> Error (Printf.sprintf "unknown fault kind %S" kind))
+     | _ -> Error (Printf.sprintf "bad fault count in %S" s))
 
 let spec_to_string = function
   | Oom n -> Printf.sprintf "oom:%d" n

@@ -43,7 +43,8 @@ val active : t -> bool
 
 val parse : string -> (spec, string) result
 (** Parses the CLI surface: ["oom:N"], ["table:N"], ["tagflip:N"],
-    ["crash:N"], ["fuel:N"]. *)
+    ["crash:N"], ["fuel:N"], with [N >= 0] ("bad fault count"
+    otherwise). *)
 
 val spec_to_string : spec -> string
 

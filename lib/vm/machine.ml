@@ -17,8 +17,9 @@ open Tir.Ir
 
 type outcome =
   | Exit of int
-  (* the run finished under a Recover sink with at least one recorded
-     report: the program's own exit code plus the ordered findings *)
+  (* the run finished under a Recover sink that recorded or suppressed
+     at least one finding: the program's own exit code plus the ordered
+     recorded findings *)
   | Completed_with_bugs of {
       code : int;
       reports : Report.t list;
@@ -335,8 +336,10 @@ let rec exec_func m (lf : Vcode.loaded_func) (args : int array) : int =
   !result
 
 (* Runs [main] under the selected backend.  All ways a run can end are
-   funneled into the [outcome] type.  A clean exit under
-   a Recover sink that recorded findings becomes [Completed_with_bugs].
+   funneled into the [outcome] type.  A clean exit under a Recover
+   sink that recorded or suppressed findings becomes
+   [Completed_with_bugs] (a cap of 0 records none but still caught
+   them).
    [fuel] meters jit compilation (interpretation needs none); a
    [Tir.Fuel.Exhausted] escape is a supervision event, not an outcome,
    and propagates. *)
@@ -344,7 +347,7 @@ let run ?(backend = Interp) ?fuel (m : t) : outcome =
   let finish code =
     m.rt.Runtime.at_exit m.st;
     let sink = m.st.State.sink in
-    if Report.sink_recorded sink > 0 then
+    if Report.sink_recorded sink > 0 || Report.sink_suppressed sink > 0 then
       Completed_with_bugs
         { code; reports = Report.sink_reports sink;
           suppressed = Report.sink_suppressed sink }

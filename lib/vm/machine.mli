@@ -8,7 +8,8 @@ type outcome =
       code : int;
       reports : Report.t list;   (** in submission order *)
       suppressed : int;
-    }  (** finished under a [Recover] sink with recorded findings *)
+    }  (** finished under a [Recover] sink that recorded or suppressed
+           findings *)
   | Bug of Report.t        (** a sanitizer reported a violation *)
   | Fault of Report.trap   (** the machine/libc crashed on its own *)
 

@@ -63,12 +63,13 @@ let classified ?(setup = []) name args =
 let fuzz_exits code args =
   exits_of ~label:[ "cecsan_fuzz" ] (exe "../bin" "cecsan_fuzz.exe") code args
 
-(* cecsan_cli's static modes and its run burn the fuel of the one
-   pipeline [Sanitizer.Driver] sequences: --verify and --dump-tir
-   postopt exhaust where the build does (the run needs 108 steps on
-   this file), and the jit compile is metered as [Driver.run] meters it
-   (137 steps).  An injected fuel:N is the same budget as --fuel N. *)
-let cli_fuel code args =
+(* cecsan_cli on one corpus file.  Its static modes and its run burn
+   the fuel of the one pipeline [Sanitizer.Driver] sequences: --verify
+   and --dump-tir postopt exhaust where the build does (the run needs
+   108 steps on this file), and the jit compile is metered as
+   [Driver.run] meters it (137 steps).  An injected fuel:N is the same
+   budget as --fuel N. *)
+let cli_exits code args =
   let file = "corpus/00_spatial-stack.mc" in
   let path = if Sys.file_exists file then file else "test/" ^ file in
   exits_of ~label:[ "cecsan_cli" ] (exe "../bin" "cecsan_cli.exe") code
@@ -94,14 +95,23 @@ let () =
           [ "cecsan_cli"; "cecsan_fuzz"; "cecsan_serve" ] );
       ( "cli fuel",
         [
-          cli_fuel 5 [ "--verify"; "--fuel"; "79" ];
-          cli_fuel 5 [ "--dump-tir"; "postopt"; "--fuel"; "79" ];
-          cli_fuel 5 [ "--backend"; "jit"; "--fuel"; "120" ];
-          cli_fuel 0 [ "--verify"; "--fuel"; "108" ];
-          cli_fuel 99 [ "--backend"; "jit"; "--fuel"; "137" ];
-          cli_fuel 5 [ "--verify"; "--inject"; "fuel:79" ];
-          cli_fuel 0 [ "--verify"; "--inject"; "fuel:108" ];
-          cli_fuel 2 [ "--verify"; "--inject"; "fuel:x" ];
+          cli_exits 5 [ "--verify"; "--fuel"; "79" ];
+          cli_exits 5 [ "--dump-tir"; "postopt"; "--fuel"; "79" ];
+          cli_exits 5 [ "--backend"; "jit"; "--fuel"; "120" ];
+          cli_exits 0 [ "--verify"; "--fuel"; "108" ];
+          cli_exits 99 [ "--backend"; "jit"; "--fuel"; "137" ];
+          cli_exits 5 [ "--verify"; "--inject"; "fuel:79" ];
+          cli_exits 0 [ "--verify"; "--inject"; "fuel:108" ];
+          cli_exits 2 [ "--verify"; "--inject"; "fuel:x" ];
+        ] );
+      ( "fault counts",
+        (* a negative count is a bad spec (exit 2); oom:0 runs, and the
+           file's first malloc gets NULL *)
+        [
+          cli_exits 2 [ "--inject"; "oom:-3" ];
+          cli_exits 2 [ "--inject"; "fuel:-1" ];
+          cli_exits 98 [ "--inject"; "oom:0" ];
+          fuzz_exits 2 [ "-n"; "1"; "--faults"; "crash:-1" ];
         ] );
       ( "fuzz errors",
         [

@@ -16,24 +16,6 @@
    output may do so.  A failing case prints the measured table for its
    tool; replace that tool's lines in instrument.digests with it. *)
 
-(* CECSan variants share the tool name, so each row carries its
-   variant's label *)
-let tools : (string * Sanitizer.Spec.t) list =
-  Cecsan.variants
-  @ List.map
-    (fun (san : Sanitizer.Spec.t) -> (san.name, san))
-    [ Baselines.Asan.sanitizer ();
-      Baselines.Asan_minus.sanitizer ();
-      Baselines.Hwasan.sanitizer ();
-      Baselines.Softbound_cets.sanitizer ();
-      Baselines.Pacmem.sanitizer ();
-      Baselines.Cryptsan.sanitizer () ]
-
-(* under [dune test] the data sits next to the binary; under
-   [dune exec test/test_instrument.exe] the cwd is the repository root *)
-let dir = if Sys.file_exists "instrument.digests" then "." else "test"
-let corpus_dir = Filename.concat dir "corpus"
-
 (* The rewrite corners the corpus may miss: a store whose address and
    value are both protected globals (operand order fixes the minting
    order), a branch on a global's address, external calls with pointer
@@ -72,24 +54,7 @@ int main() {
 }
 |}
 
-let programs : (string * string) list =
-  let corpus =
-    Sys.readdir corpus_dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".mc")
-    |> List.sort compare
-    |> List.map (fun f ->
-        (f, In_channel.with_open_bin (Filename.concat corpus_dir f)
-              In_channel.input_all))
-  in
-  let kernels =
-    List.map
-      (fun w -> (w.Workloads.Spec2006.w_name, w.Workloads.Spec2006.w_source))
-      Workloads.Spec2006.all
-    @ List.map
-      (fun w -> (w.Workloads.Spec2017.w_name, w.Workloads.Spec2017.w_source))
-      Workloads.Spec2017.all
-  in
-  corpus @ kernels @ [ ("corners", corners) ]
+let programs = Fixtures.corpus @ Fixtures.kernels @ [ ("corners", corners) ]
 
 let juliet : (string * string list) list =
   List.map
@@ -99,17 +64,15 @@ let juliet : (string * string list) list =
            (Juliet.Suite.cases_for cwe) ))
     Juliet.Suite.targets
 
-let md5 s = Digest.to_hex (Digest.string s)
-
 (* "<md5 after instrument> <md5 after optimize>", or "unsupported" when
    the tool rejects the program at compile time *)
 let digests (san : Sanitizer.Spec.t) src =
   let md = Sanitizer.Driver.compile_cached ~optimize:true src in
   match san.instrument md with
   | () ->
-    let pre = md5 (Tir.Pp.module_to_string md) in
+    let pre = Fixtures.md5 (Tir.Pp.module_to_string md) in
     san.optimize md;
-    pre ^ " " ^ md5 (Tir.Pp.module_to_string md)
+    pre ^ " " ^ Fixtures.md5 (Tir.Pp.module_to_string md)
   | exception Sanitizer.Spec.Unsupported _ -> "unsupported"
 
 let table (label, san) =
@@ -118,14 +81,10 @@ let table (label, san) =
   @ List.map
     (fun (cwe, srcs) ->
        Printf.sprintf "%s %s %s" label cwe
-         (md5 (String.concat "\n" (List.map (digests san) srcs))))
+         (Fixtures.md5 (String.concat "\n" (List.map (digests san) srcs))))
     juliet
 
-let expected : string list =
-  In_channel.with_open_bin (Filename.concat dir "instrument.digests")
-    In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter (fun l -> l <> "")
+let expected = Fixtures.digest_lines "instrument.digests"
 
 let pinned ((label, _) as tool) =
   Alcotest.test_case label `Quick (fun () ->
@@ -140,4 +99,4 @@ let pinned ((label, _) as tool) =
 
 let () =
   Alcotest.run "instrument"
-    [ ("instrumented Tir unchanged", List.map pinned tools) ]
+    [ ("instrumented Tir unchanged", List.map pinned Fixtures.tools) ]

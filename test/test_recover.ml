@@ -121,6 +121,23 @@ let recover_tests =
         | o ->
           Alcotest.failf "expected Completed_with_bugs, got %a"
             Vm.Machine.pp_outcome o);
+    Alcotest.test_case "max_reports 0 still completes with bugs (interp, jit)"
+      `Quick (fun () ->
+        List.iter
+          (fun backend ->
+             let r =
+               Sanitizer.Driver.run cecsan ~backend
+                 ~policy:(recover ~max_reports:0 ()) three_violations_src
+             in
+             match r.Sanitizer.Driver.outcome with
+             | Vm.Machine.Completed_with_bugs { code; reports; suppressed } ->
+               Alcotest.(check int) "exit code preserved" 42 code;
+               Alcotest.(check int) "nothing recorded" 0 (List.length reports);
+               Alcotest.(check int) "three findings suppressed" 3 suppressed
+             | o ->
+               Alcotest.failf "expected Completed_with_bugs, got %a"
+                 Vm.Machine.pp_outcome o)
+          [ Vm.Machine.Interp; Vm.Machine.Jit ]);
     Alcotest.test_case "repeated findings dedup to one report" `Quick
       (fun () ->
         let r =
@@ -244,7 +261,8 @@ int main() {
             match Vm.Fault.parse s with
             | Ok _ -> Alcotest.failf "parse %S should fail" s
             | Error _ -> ())
-          [ "bogus"; "oom"; "oom:"; "oom:x"; "table:-"; ":3" ]);
+          [ "bogus"; "oom"; "oom:"; "oom:x"; "table:-"; ":3"; "oom:-3";
+            "fuel:-1" ]);
   ]
 
 let () =

@@ -1,8 +1,12 @@
 (* Tests of Tir.Verify, the static certification pass: the unmutated
    pipeline must verify, ~10 seeded unsound mutations of the
-   instrumented/optimized IR must each be rejected, every sanitizer must
-   verify across 200 generated programs with coverage preserved over the
-   optimization, and the [Cfg.make_preheader] stale-cfg regression. *)
+   instrumented/optimized IR must each be rejected, hand-built
+   definite-assignment violations must give their exact errors, every
+   sanitizer must verify across 200 generated programs with coverage
+   preserved over the optimization, every tool's verifier reports and
+   fuel over the corpus and the kernels are pinned by
+   test/verify.digests, and the [Cfg.make_preheader] stale-cfg
+   regression. *)
 
 open Tir.Ir
 
@@ -195,6 +199,65 @@ let mutation_tests =
        Alcotest.test_case name `Quick (fun () -> assert_rejected name mutate))
     mutations
 
+(* --- definite assignment ------------------------------------------------- *)
+
+let blk id instrs term = { b_id = id; b_instrs = instrs; b_term = term }
+let mov dst v = Imov { dst; src = Imm v }
+let add dst a b = Ibin { op = Add; dst; a; b }
+
+(* The lint's errors for a module whose [main] has the given body. *)
+let lint ~nregs blocks =
+  let md =
+    Sanitizer.Driver.compile_cached ~optimize:false "int main() { return 0; }"
+  in
+  Hashtbl.replace md.m_funcs "main"
+    { (main_fn md) with f_nregs = nregs; f_blocks = blocks };
+  List.map Tir.Verify.error_to_string (Tir.Verify.well_formed md)
+
+(* Each case: the function body, [f_nregs] and the lint's exact
+   errors. *)
+let defassign_cases =
+  [
+    ( "diamond with the definition missing from one arm",
+      2,
+      [| blk 0 [ mov 0 1 ] (Tcbr (Reg 0, 1, 2));
+         blk 1 [ mov 1 5 ] (Tbr 3);
+         blk 2 [] (Tbr 3);
+         blk 3 [] (Tret (Some (Reg 1))) |],
+      [ "main.b3: use of r1 not assigned on every path" ] );
+    ( "definition reached only through a loop back edge",
+      3,
+      [| blk 0 [ mov 0 3 ] (Tbr 1);
+         blk 1 [ add 2 (Reg 1) (Imm 1) ] (Tcbr (Reg 0, 2, 3));
+         blk 2 [ mov 1 1; add 0 (Reg 0) (Imm (-1)) ] (Tbr 1);
+         blk 3 [] (Tret (Some (Reg 2))) |],
+      [ "main.b1: use of r1 not assigned on every path" ] );
+    ( "definition only in an unreachable block",
+      2,
+      [| blk 0 [] (Tret (Some (Reg 1)));
+         blk 1 [ mov 1 3 ] (Tret (Some (Reg 1))) |],
+      [ "main.b0: use of r1 not assigned on every path" ] );
+    ( "definitions outside [0, f_nregs)",
+      2,
+      [| blk 0 [ mov 0 1 ] (Tcbr (Reg 0, 1, 2));
+         blk 1 [ mov 5 7; mov (-3) 2 ] (Tbr 3);
+         blk 2 [ mov 5 1 ] (Tbr 3);
+         blk 3 [ add 1 (Reg 5) (Reg (-3)) ] (Tret (Some (Reg 1))) |],
+      [ "main.b2: register r5 out of range (nregs=2)";
+        "main.b1: register r5 out of range (nregs=2)";
+        "main.b1: register r-3 out of range (nregs=2)";
+        "main.b3: register r5 out of range (nregs=2)";
+        "main.b3: register r-3 out of range (nregs=2)";
+        "main.b3: use of r-3 not assigned on every path" ] );
+  ]
+
+let defassign_tests =
+  List.map
+    (fun (name, nregs, blocks, want) ->
+       Alcotest.test_case name `Quick (fun () ->
+           Alcotest.(check (list string)) "errors" want (lint ~nregs blocks)))
+    defassign_cases
+
 (* --- every sanitizer verifies on generated programs ----------------------- *)
 
 let all_sanitizers () =
@@ -270,6 +333,58 @@ let property_tests =
                    (all_sanitizers ()))
               [ true; false ]));
   ]
+
+(* --- verifier report pin -------------------------------------------------- *)
+
+(* One line per tool and program: for each of the gate's two
+   [Verify.check] runs (before and after optimization), the accesses
+   under obligation, those covered, the witnesses replayed, the MD5 of
+   the error strings and the fuel the check burns.  A rewrite of the
+   verifier must leave every report and every fuel count unchanged.
+
+   UPDATING THE DIGESTS: only an intentional change of what the
+   verifier reports or burns may do so.  A failing case prints the
+   measured table for its tool; replace that tool's lines in
+   verify.digests with it. *)
+let report_row (san : Sanitizer.Spec.t) src =
+  let md = Sanitizer.Driver.compile_cached ~optimize:true src in
+  let check () =
+    let budget = 1 lsl 40 in
+    let fuel = Tir.Fuel.make ~phase:"verify" ~budget in
+    let r = Tir.Verify.check ?spec:san.verify ~fuel md in
+    sp "%d %d %d %s %d" r.Tir.Verify.r_accesses r.Tir.Verify.r_covered
+      r.Tir.Verify.r_witnesses
+      (Fixtures.md5
+         (String.concat "\n"
+            (List.map Tir.Verify.error_to_string r.Tir.Verify.r_errors)))
+      (budget - Tir.Fuel.remaining fuel)
+  in
+  match san.instrument md with
+  | () ->
+    let pre = check () in
+    san.optimize md;
+    pre ^ " | " ^ check ()
+  | exception Sanitizer.Spec.Unsupported _ -> "unsupported"
+
+let report_pin_tests =
+  let expected = Fixtures.digest_lines "verify.digests" in
+  List.map
+    (fun (label, san) ->
+       Alcotest.test_case label `Quick (fun () ->
+           let prefix = label ^ " " in
+           let want = List.filter (String.starts_with ~prefix) expected in
+           let got =
+             List.map
+               (fun (prog, src) ->
+                  sp "%s %s %s" label prog (report_row san src))
+               (Fixtures.corpus @ Fixtures.kernels)
+           in
+           if got <> want then begin
+             List.iter prerr_endline got;
+             Alcotest.failf "%s: verifier reports differ from verify.digests \
+                             (measured table above)" label
+           end))
+    Fixtures.tools
 
 (* --- make_preheader stale-cfg regression ---------------------------------- *)
 
@@ -348,6 +463,8 @@ let () =
       ("baseline", [ Alcotest.test_case "pipeline verifies" `Quick
                        test_baseline ]);
       ("mutation-kill", mutation_tests);
+      ("defassign-kill", defassign_tests);
       ("generated-programs", property_tests);
+      ("report-pin", report_pin_tests);
       ("preheader", preheader_tests);
     ]
